@@ -8,8 +8,13 @@ CSV is the default for pipelines and starts with the schema comment
 File formats:
 
 * matrix — GTM1 text (see ``pooltest.core``);
-* answers — a single line of m characters, each '0' or '1';
-* defectives — whitespace-separated 1-based item indices.
+* answers — a single line of m characters, each '0' or '1', ended by LF or
+  by the end of the file;
+* defectives — whitespace-separated 1-based item indices, each ASCII
+  decimal digits (``--items`` takes the same list).
+
+Files are read as bytes: a byte the format does not allow is a parse error
+naming its line and column.
 
 Exit codes: 0 success, 1 domain or parse error, 2 work budget exceeded.
 ``POOLTEST_SEED`` provides the default master seed where ``--seed`` is
@@ -23,6 +28,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -33,7 +39,6 @@ from .core import (
     BudgetExceededError,
     InputError,
     ParseError,
-    TestMatrix,
     answer_vector,
     dumps_gtm1,
     read_gtm1,
@@ -100,58 +105,67 @@ def _emit(args, columns: list[str], rows: list[list[str]], records: list[dict], 
         _emit_csv(columns, rows, out)
 
 
-def _read_matrix(path: str) -> TestMatrix:
-    return read_gtm1(path)
+def _item_tokens(data: bytes, source: str) -> list[int]:
+    """Whitespace-separated item indices, each an ASCII decimal."""
+    parsed = []
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        for match in re.finditer(rb"\S+", line):
+            tok = match.group()
+            try:
+                if not tok.isdigit():  # ASCII digits only, unlike int()
+                    raise ValueError
+                parsed.append(int(tok))
+            except ValueError:
+                shown = tok.decode("ascii", "backslashreplace")
+                raise ParseError(f"invalid item index '{shown}' in {source}",
+                                 line=lineno, column=match.start() + 1) from None
+    return parsed
 
 
 def _read_items(args, n: int) -> tuple[int, ...]:
     if getattr(args, "items", None) is not None:
-        parsed = []
-        for tok in args.items.split():
-            try:
-                parsed.append(int(tok))
-            except ValueError:
-                raise InputError(f"invalid item index {tok!r} in --items") from None
-        return validate_items(parsed, n)
+        data = args.items.encode("utf-8", "surrogatepass")
+        return validate_items(_item_tokens(data, "--items"), n)
     if getattr(args, "defectives", None) is None:
         raise InputError("one of --defectives or --items is required")
-    parsed = []
-    text = Path(args.defectives).read_text(encoding="ascii")
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        for tok in line.split():
-            try:
-                parsed.append(int(tok))
-            except ValueError:
-                raise ParseError(
-                    f"invalid item index {tok!r} in {args.defectives}", line=lineno
-                ) from None
-    return validate_items(parsed, n)
+    data = Path(args.defectives).read_bytes()
+    return validate_items(_item_tokens(data, args.defectives), n)
 
 
 def format_answer_line(answers) -> str:
     return "".join("1" if int(a) else "0" for a in answers)
 
 
-def parse_answer_file(text: str, expected_m: int) -> np.ndarray:
-    """Parse a one-line answer file; diagnostics carry line and column."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+def parse_answer_file(data: bytes | str, expected_m: int) -> np.ndarray:
+    """Parse a one-line answer file; diagnostics carry line and column.
+
+    A string is read as its UTF-8 bytes, so a character outside ASCII is an
+    invalid byte, as is a carriage return.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    lines = data.split(b"\n")
+    if lines and lines[-1] == b"":
         lines.pop()
     if len(lines) != 1:
         raise ParseError(
             f"answer file must hold exactly one line, found {len(lines)}",
             line=max(2, len(lines)),
         )
-    raw = lines[0]
+    raw = np.frombuffer(lines[0], dtype=np.uint8) - ord("0")
+    bad = raw > 1
+    col = int(np.argmax(bad)) + 1 if bad.any() else len(raw) + 1
+    if col <= min(len(raw), expected_m + 1):
+        byte = lines[0][col - 1]
+        if byte > 127:
+            raise ParseError(f"non-ASCII byte 0x{byte:02x}", line=1, column=col)
+        raise ParseError(f"invalid answer character {chr(byte)!r}", line=1, column=col)
     if len(raw) != expected_m:
         raise ParseError(
             f"expected {expected_m} answer characters, got {len(raw)}", line=1,
             column=min(len(raw) + 1, expected_m + 1),
         )
-    for col, ch in enumerate(raw, start=1):
-        if ch not in "01":
-            raise ParseError(f"invalid answer character {ch!r}", line=1, column=col)
-    return np.frombuffer(raw.encode("ascii"), dtype=np.uint8) - ord("0")
+    return raw
 
 
 def _write_text(path: str | None, text: str, out) -> None:
@@ -238,7 +252,7 @@ def _cmd_generate(args, out) -> int:
 
 
 def _cmd_answer(args, out) -> int:
-    matrix = _read_matrix(args.matrix)
+    matrix = read_gtm1(args.matrix)
     items = _read_items(args, matrix.n)
     line = format_answer_line(answer_vector(matrix, items)) + "\n"
     _write_text(args.out, line, out)
@@ -246,8 +260,8 @@ def _cmd_answer(args, out) -> int:
 
 
 def _cmd_decode(args, out) -> int:
-    matrix = _read_matrix(args.matrix)
-    answers = parse_answer_file(Path(args.answers).read_text(encoding="ascii"), matrix.m)
+    matrix = read_gtm1(args.matrix)
+    answers = parse_answer_file(Path(args.answers).read_bytes(), matrix.m)
     if args.decoder == "disjunct":
         outcome = decode_disjunct(matrix, answers)
     elif args.decoder == "semi":
@@ -270,7 +284,7 @@ def _cmd_decode(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    matrix = _read_matrix(args.matrix)
+    matrix = read_gtm1(args.matrix)
     items = _read_items(args, matrix.n)
     prop = _normalize_property(args.property)
     threshold = ""

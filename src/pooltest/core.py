@@ -18,15 +18,27 @@ Matrix interchange uses the ``GTM1`` text format::
     ...
     <row m>
 
-Every line, including the last row, is terminated by a single ``\\n``.
-``write`` after ``read`` reproduces a valid file byte for byte.
+The grammar is strict, and the codec reads and writes bytes:
+
+* the file is ASCII, and every line, including the last row, ends with a
+  single LF (``\\n``); a CR is an invalid character, not part of a newline;
+* the header has five fields separated by single spaces; m, n and seed are
+  canonical decimal integers, ``0|[1-9][0-9]*``, with m and n at least 1;
+* model_tag is one of ``RID``, ``RrSD`` or ``Explicit``; ``RrSD`` rows share
+  one weight of at least 1;
+* no byte follows row m.
+
+A file that breaks a rule raises ``ParseError`` with the 1-based line, and
+within a row the column, of its first defect in file order. ``write`` after
+``read`` reproduces a valid file byte for byte.
 """
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -280,83 +292,174 @@ def answer_vector(matrix: TestMatrix, items: Iterable[int]) -> np.ndarray:
 # GTM1 text format
 # ---------------------------------------------------------------------------
 
+# Row bytes encoded or checked per block. It bounds the codec's working
+# memory whatever the matrix size; one row wider than this is one block.
+_BLOCK_BYTES = 1 << 24
+# Cap on the header line, so a file without newlines is not read whole.
+_HEADER_BYTES = 1 << 16
+_HEADER_FORM = "header must be 'GTM1 <m> <n> <model_tag> <seed>'"
+_ZERO, _ONE, _LF = ord("0"), ord("1"), ord("\n")
+
+
+def _block_rows(m: int, n: int) -> int:
+    return max(1, min(m, _BLOCK_BYTES // (n + 1)))
+
+
+def _encode(matrix: TestMatrix, f: BinaryIO) -> None:
+    m, n = matrix.m, matrix.n
+    f.write(f"GTM1 {m} {n} {matrix.model_tag} {matrix.seed}\n".encode("ascii"))
+    buf = np.empty((_block_rows(m, n), n + 1), dtype=np.uint8)
+    buf[:, n] = _LF
+    for r in range(0, m, len(buf)):
+        blk = buf[: min(len(buf), m - r)]
+        np.add(np.unpackbits(matrix.bits[r : r + len(blk)], axis=1, count=n), _ZERO,
+               out=blk[:, :n])
+        f.write(memoryview(blk))
+
+
+def _header_int(raw: bytes, message: str) -> int:
+    """A canonical ASCII decimal, ``0|[1-9][0-9]*``, or a ParseError at line 1."""
+    if raw.isdigit() and (raw == b"0" or not raw.startswith(b"0")):
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(message, line=1)
+
+
+def _read_header(f: BinaryIO) -> tuple[int, int, str, int]:
+    line = f.readline(_HEADER_BYTES)
+    if not line:
+        raise ParseError("empty file", line=1)
+    if not line.endswith(b"\n"):
+        at_eof = len(line) < _HEADER_BYTES
+        raise ParseError("missing trailing newline" if at_eof else _HEADER_FORM, line=1)
+    fields = line[:-1].split(b" ")
+    if len(fields) != 5 or fields[0] != b"GTM1":
+        raise ParseError(_HEADER_FORM, line=1)
+    m = _header_int(fields[1], "m and n must be integers")
+    n = _header_int(fields[2], "m and n must be integers")
+    tag = fields[3].decode("ascii", "backslashreplace")
+    if tag not in MODEL_TAGS:
+        raise ParseError(f"unknown model tag '{tag}'", line=1)
+    seed = _header_int(fields[4], "seed must be an integer")
+    if m < 1 or n < 1:
+        raise ParseError("m and n must be >= 1", line=1)
+    return m, n, tag, seed
+
+
+def _first_defect(data: bytes, line: int, m: int, n: int) -> ParseError:
+    """The error for the first defect in ``data``.
+
+    ``data`` holds body bytes from the start of file line ``line`` and either
+    contains a malformed row or ends before row m does.
+    """
+    width = n + 1
+    arr = np.frombuffer(data, dtype=np.uint8)
+    full = len(arr) // width
+    rows = arr[: full * width].reshape(full, width)
+    bad = (rows[:, n] != _LF) | ((rows[:, :n] - _ZERO) > 1).any(axis=1)
+    i = int(np.argmax(bad)) if bad.any() else full
+    line += i
+    row = arr[i * width : (i + 1) * width]
+    ok = (row - _ZERO) <= 1
+    ok[n:] = row[n:] == _LF
+    p = int(np.argmin(ok)) if not ok.all() else len(row)
+    if p == len(row):  # every byte is in place, but the data ends here
+        if p == 0:
+            return ParseError(f"expected {m} row lines, found {line - 2}", line=line)
+        return ParseError("missing trailing newline", line=line)
+    byte = int(row[p])
+    if p == n and byte in (_ZERO, _ONE):
+        end = data.find(b"\n", i * width)
+        length = (end if end >= 0 else len(data)) - i * width
+        return ParseError(f"expected {n} characters, got {length}", line=line, column=p + 1)
+    if byte == _LF:
+        return ParseError(f"expected {n} characters, got {p}", line=line, column=p + 1)
+    if byte > 127:
+        return ParseError(f"non-ASCII byte 0x{byte:02x}", line=line, column=p + 1)
+    return ParseError(f"invalid character {chr(byte)!r}", line=line, column=p + 1)
+
+
+def _check_row_weights(weights: np.ndarray, first: int, shared: int | None) -> int:
+    """RrSD rule for a block of rows from 0-based row ``first`` on.
+
+    Raises on the first row whose weight is 0 or differs from row 1's, and
+    returns row 1's weight.
+    """
+    if shared is None:
+        shared = int(weights[0])
+    bad = (weights == 0) | (weights != shared)
+    if bad.any():
+        j = int(np.argmax(bad))
+        weight, line = int(weights[j]), first + j + 2
+        if weight == 0:
+            raise ParseError("RrSD row has weight 0", line=line)
+        raise ParseError(
+            f"RrSD rows must share one weight: row 1 has {shared}, "
+            f"row {first + j + 1} has {weight}",
+            line=line,
+        )
+    return shared
+
+
+def _decode(f: BinaryIO) -> TestMatrix:
+    if not f.seekable():
+        f = io.BytesIO(f.read())
+    m, n, tag, seed = _read_header(f)
+    width = n + 1
+    body = f.tell()
+    short = f.seek(0, io.SEEK_END) - body < m * width
+    f.seek(body)
+    if short:  # find the defect in the bytes that are there; allocate nothing for m x n
+        raise _first_defect(f.read(), 2, m, n)
+
+    bits = np.empty((m, (n + 7) // 8), dtype=np.uint8)
+    buf = np.empty((_block_rows(m, n), width), dtype=np.uint8)
+    cells = np.empty((len(buf), n), dtype=np.uint8)
+    weight = None
+    for r in range(0, m, len(buf)):
+        k = min(len(buf), m - r)
+        blk, blk_cells = buf[:k], cells[:k]
+        got = f.readinto(memoryview(blk))
+        np.subtract(blk[:, :n], _ZERO, out=blk_cells)
+        if got < blk.nbytes or (blk[:, n] != _LF).any() or blk_cells.max() > 1:
+            # readline completes a last row that runs past the block
+            exc = _first_defect(blk.reshape(-1)[:got].tobytes() + f.readline(), r + 2, m, n)
+            if tag == "RrSD" and exc.line - 2 > r:  # well-formed rows before it come first
+                _check_row_weights(blk_cells[: exc.line - 2 - r].sum(axis=1), r, weight)
+            raise exc
+        if tag == "RrSD":
+            weight = _check_row_weights(blk_cells.sum(axis=1), r, weight)
+        bits[r : r + k] = np.packbits(blk_cells, axis=1)
+    if f.read(1):
+        raise ParseError(f"expected {m} row lines, found more", line=m + 2)
+    return TestMatrix(m=m, n=n, bits=bits, model_tag=tag, seed=seed)
+
+
 def dumps_gtm1(matrix: TestMatrix) -> str:
-    header = f"GTM1 {matrix.m} {matrix.n} {matrix.model_tag} {matrix.seed}\n"
-    rows = []
-    for j in range(matrix.m):
-        line = (np.unpackbits(matrix.bits[j], count=matrix.n) + ord("0")).astype(np.uint8)
-        rows.append(line.tobytes().decode("ascii"))
-    return header + "\n".join(rows) + "\n"
+    """The GTM1 document of ``matrix`` as a string (see ``write_gtm1``)."""
+    out = io.BytesIO()
+    _encode(matrix, out)
+    return out.getvalue().decode("ascii")
 
 
 def parse_gtm1(text: str) -> TestMatrix:
-    """Parse a GTM1 document. Strict: errors carry 1-based line/column."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    else:
-        raise ParseError("missing trailing newline", line=len(lines))
-    if not lines:
-        raise ParseError("empty file", line=1)
+    """Parse a GTM1 document held in a string (see ``read_gtm1``).
 
-    fields = lines[0].split(" ")
-    if len(fields) != 5 or fields[0] != "GTM1":
-        raise ParseError("header must be 'GTM1 <m> <n> <model_tag> <seed>'", line=1)
-    try:
-        m = int(fields[1])
-        n = int(fields[2])
-    except ValueError:
-        raise ParseError("m and n must be integers", line=1) from None
-    tag = fields[3]
-    if tag not in MODEL_TAGS:
-        raise ParseError(f"unknown model tag {tag!r}", line=1)
-    try:
-        seed = int(fields[4])
-    except ValueError:
-        raise ParseError("seed must be an integer", line=1) from None
-    if m < 1 or n < 1:
-        raise ParseError("m and n must be >= 1", line=1)
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} row lines, found {len(lines) - 1}", line=len(lines))
-
-    bits = np.empty((m, (n + 7) // 8), dtype=np.uint8)
-    for j in range(m):
-        raw = lines[j + 1]
-        lineno = j + 2
-        try:
-            arr = np.frombuffer(raw.encode("ascii"), dtype=np.uint8)
-        except UnicodeEncodeError:
-            raise ParseError("row contains non-ASCII characters", line=lineno) from None
-        if len(arr) != n:
-            raise ParseError(f"expected {n} characters, got {len(arr)}", line=lineno)
-        bad = (arr != ord("0")) & (arr != ord("1"))
-        if bad.any():
-            col = int(np.flatnonzero(bad)[0]) + 1
-            raise ParseError(f"invalid character {chr(arr[col - 1])!r}", line=lineno, column=col)
-        bits[j] = np.packbits(arr - ord("0"))
-
-    try:
-        matrix = TestMatrix(m=m, n=n, bits=bits, model_tag=tag, seed=seed)
-    except InputError as exc:
-        raise ParseError(str(exc), line=1) from None
-
-    if tag == "RrSD":
-        weights = matrix.row_weights()
-        if weights.min() < 1:
-            raise ParseError("RrSD row has weight 0", line=int(np.argmin(weights)) + 2)
-        if weights.min() != weights.max():
-            j = int(np.flatnonzero(weights != weights[0])[0])
-            raise ParseError(
-                f"RrSD rows must share one weight: row 1 has {int(weights[0])}, "
-                f"row {j + 1} has {int(weights[j])}",
-                line=j + 2,
-            )
-    return matrix
+    A character outside ASCII is a ParseError naming its line.
+    """
+    return _decode(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
 def write_gtm1(matrix: TestMatrix, path: str | Path) -> None:
-    Path(path).write_text(dumps_gtm1(matrix), encoding="ascii")
+    """Write ``matrix`` to ``path`` as GTM1, one block of rows at a time."""
+    with open(path, "wb") as f:
+        _encode(matrix, f)
 
 
 def read_gtm1(path: str | Path) -> TestMatrix:
-    return parse_gtm1(Path(path).read_text(encoding="ascii"))
+    """Read a GTM1 file. Strict: errors carry the 1-based line and column of
+    the first defect in file order."""
+    with open(path, "rb") as f:
+        return _decode(f)

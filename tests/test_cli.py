@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -203,6 +204,64 @@ def test_generate_rrsd_rows(tmp_path):
     assert (matrix.row_weights() == 4).all()
 
 
+# SHA-256 of the GTM1 bytes `generate` wrote before the block-wise codec
+# replaced the per-row one; the codec must not change a byte.
+GOLDEN_GENERATE = [
+    (("--n", "10000", "--d", "4", "--delta", "0.1", "--property", "semi", "--seed", "17"),
+     "45e56b3bdc87b732c6a550f03a8a2cdcf76dfab11ca1d2db5a0253ba01fe2c63"),
+    (("--model", "rrsd", "--n", "5000", "--d", "3", "--delta", "0.1",
+      "--property", "disjunct", "--seed", "23"),
+     "13da0a76b9006a36e7eb5f02cd019fb91ba2a1454fb9ebd0c445f864c055cbc6"),
+    (("--n", "1001", "--m", "37", "--zero-prob", "0.55", "--seed", "29"),
+     "9eb4d8479e711a549e489406b5f360fa29b9fa2c4d02a9b55a67f33599a2625d"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_GENERATE)
+def test_generate_bytes_are_golden(args, digest, tmp_path):
+    out = tmp_path / "m.gtm1"
+    res = run_cli("generate", *args, "--out", str(out))
+    assert res.returncode == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    res = run_cli("generate", *args)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("target,content,message", [
+    ("matrix", b"GTM1 2 3 RID 0\n101\n0\xff1\n", "line 3, column 2: non-ASCII byte 0xff"),
+    ("matrix", b"GTM1 2 3 RID 0\r\n101\r\n010\r\n", "line 1: seed must be an integer"),
+    ("answers", b"01\xff\n", "line 1, column 3: non-ASCII byte 0xff"),
+    ("answers", b"01\r\n", "line 1, column 3: invalid answer character '\\r'"),
+    ("defectives", b"1\n 2 \xff3\n", "line 2, column 4: invalid item index '\\xff3'"),
+    ("defectives", b"1_0\n", "line 1, column 1: invalid item index '1_0'"),
+])
+def test_bad_bytes_give_one_line_errors(target, content, message, tmp_path):
+    files = {name: tmp_path / name for name in ("matrix", "answers", "defectives")}
+    files["matrix"].write_bytes(b"GTM1 2 3 RID 0\n101\n011\n")
+    files["answers"].write_bytes(b"11\n")
+    files["defectives"].write_bytes(b"1\n")
+    files[target].write_bytes(content)
+    if target == "answers":
+        res = run_cli("decode", "--matrix", str(files["matrix"]), "--answers",
+                      str(files["answers"]), "--decoder", "disjunct")
+    else:
+        res = run_cli("answer", "--matrix", str(files["matrix"]), "--defectives",
+                      str(files["defectives"]))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"error: {message}")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("items", ["\u0662", "1_0", "+1", "1 x"])
+def test_items_must_be_ascii_decimal(items, tmp_path):
+    mfile = tmp_path / "m.gtm1"
+    mfile.write_text("GTM1 1 12 RID 0\n101010101010\n")
+    res = run_cli("answer", "--matrix", str(mfile), "--items", items)
+    assert res.returncode == 1
+    assert "invalid item index" in res.stderr and res.stderr.count("\n") == 1
+
+
 def test_unknown_flags_exit_one():
     res = run_cli("design", "--nope", "3")
     assert res.returncode == 1
@@ -230,6 +289,11 @@ def test_answer_line_round_trip():
     ("0101\n", "expected 6"),
     ("010100\n0\n", "exactly one line"),
     ("01x100\n", "column 3"),
+    ("01010\r\n", "column 6: invalid answer character"),
+    ("010100\r\n", "column 7: invalid answer character"),
+    ("0101\u00e90\n", "column 5: non-ASCII byte 0xc3"),
+    (b"010\xff00\n", "column 4: non-ASCII byte 0xff"),
+    ("0101001\n", "column 7: expected 6 answer characters, got 7"),
 ])
 def test_answer_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):

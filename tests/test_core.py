@@ -1,8 +1,15 @@
+import io
+import os
+import re
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from pooltest import core
 from pooltest.core import (
+    MODEL_TAGS,
     DesignSpec,
     InputError,
     ParseError,
@@ -179,7 +186,215 @@ def test_gtm1_known_bytes():
     ("GTM1 1 3 RID 0\n101", "missing trailing newline"),
     ("GTM1 2 3 RrSD 0\n110\n100\n", "line 3"),
     ("GTM1 1 3 RrSD 0\n000\n", "weight 0"),
+    # header integers are canonical ASCII decimals, lines end in LF alone
+    ("GTM1 0_2 3 Explicit 007\n101\n010\n", "line 1: m and n must be integers"),
+    ("GTM1 2 3 Explicit 007\n101\n010\n", "line 1: seed must be an integer"),
+    ("GTM1 \u0662 3 Explicit 7\n101\n010\n", "line 1: m and n must be integers"),
+    ("GTM1 1 3 Explicit +7\n101\n", "line 1: seed must be an integer"),
+    ("GTM1 1 3 Explicit -0\n101\n", "line 1: seed must be an integer"),
+    ("GTM1 1 3 RID 0\r\n101\r\n", "line 1: seed must be an integer"),
+    ("GTM1 0 3 RID 0\n", "line 1: m and n must be >= 1"),
+    ("GTM1  1 3 RID 0\n101\n", "line 1: header must be"),
+    ("", "line 1: empty file"),
+    ("GTM1 1 3 RID 0", "line 1: missing trailing newline"),
+    ("GTM1 1 3 RID 0\n101\r\n", "line 2, column 4: invalid character"),
+    ("GTM1 2 3 RID 0\n101\n1\u00e91\n", "line 3, column 2: non-ASCII byte 0xc3"),
+    ("GTM1 1 3 RID 0\n1011\n", "line 2, column 4: expected 3 characters, got 4"),
+    ("GTM1 1 3 RID 0\n101\n\n", "line 3: expected 1 row lines, found more"),
+    ("GTM1 2 3 RID 0\n101\n", "line 3: expected 2 row lines, found 1"),
+    # a header that promises more than the file holds allocates nothing for it
+    ("GTM1 99999999999 99999999999 RID 0\n", "line 2: expected 99999999999 row lines"),
+    # with several defects the first one in file order is reported
+    ("GTM1 3 3 RrSD 0\n110\n100\n1x1\n", "line 3: RrSD rows must share one weight"),
+    ("GTM1 3 3 RID 0\n101\n1x1\n1", "line 3, column 2"),
 ])
 def test_gtm1_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_gtm1(text)
+
+
+def test_gtm1_reads_from_a_pipe(tmp_path):
+    # a pipe cannot seek, so the reader buffers it before checking its size
+    matrix = gen_rid(5, 12, 0.6, seed=11)
+    fifo = tmp_path / "m.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(dumps_gtm1(matrix),), daemon=True)
+    writer.start()
+    try:
+        assert read_gtm1(fifo) == matrix
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# GTM1 codec against the per-row reference it replaced
+# ---------------------------------------------------------------------------
+
+def reference_dumps(matrix: TestMatrix) -> str:
+    """The per-row encoder that the block codec replaced."""
+    header = f"GTM1 {matrix.m} {matrix.n} {matrix.model_tag} {matrix.seed}\n"
+    rows = []
+    for j in range(matrix.m):
+        line = (np.unpackbits(matrix.bits[j], count=matrix.n) + ord("0")).astype(np.uint8)
+        rows.append(line.tobytes().decode("ascii"))
+    return header + "\n".join(rows) + "\n"
+
+
+def reference_parse(text: str) -> TestMatrix:
+    """The per-row decoder that the block codec replaced."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    else:
+        raise ParseError("missing trailing newline", line=len(lines))
+    if not lines:
+        raise ParseError("empty file", line=1)
+
+    fields = lines[0].split(" ")
+    if len(fields) != 5 or fields[0] != "GTM1":
+        raise ParseError("header must be 'GTM1 <m> <n> <model_tag> <seed>'", line=1)
+    try:
+        m = int(fields[1])
+        n = int(fields[2])
+    except ValueError:
+        raise ParseError("m and n must be integers", line=1) from None
+    tag = fields[3]
+    if tag not in MODEL_TAGS:
+        raise ParseError(f"unknown model tag {tag!r}", line=1)
+    try:
+        seed = int(fields[4])
+    except ValueError:
+        raise ParseError("seed must be an integer", line=1) from None
+    if m < 1 or n < 1:
+        raise ParseError("m and n must be >= 1", line=1)
+    if len(lines) - 1 != m:
+        raise ParseError(f"expected {m} row lines, found {len(lines) - 1}", line=len(lines))
+
+    bits = np.empty((m, (n + 7) // 8), dtype=np.uint8)
+    for j in range(m):
+        raw = lines[j + 1]
+        lineno = j + 2
+        try:
+            arr = np.frombuffer(raw.encode("ascii"), dtype=np.uint8)
+        except UnicodeEncodeError:
+            raise ParseError("row contains non-ASCII characters", line=lineno) from None
+        if len(arr) != n:
+            raise ParseError(f"expected {n} characters, got {len(arr)}", line=lineno)
+        bad = (arr != ord("0")) & (arr != ord("1"))
+        if bad.any():
+            col = int(np.flatnonzero(bad)[0]) + 1
+            raise ParseError(f"invalid character {chr(arr[col - 1])!r}", line=lineno, column=col)
+        bits[j] = np.packbits(arr - ord("0"))
+
+    try:
+        matrix = TestMatrix(m=m, n=n, bits=bits, model_tag=tag, seed=seed)
+    except InputError as exc:
+        raise ParseError(str(exc), line=1) from None
+
+    if tag == "RrSD":
+        weights = matrix.row_weights()
+        if weights.min() < 1:
+            raise ParseError("RrSD row has weight 0", line=int(np.argmin(weights)) + 2)
+        if weights.min() != weights.max():
+            j = int(np.flatnonzero(weights != weights[0])[0])
+            raise ParseError(
+                f"RrSD rows must share one weight: row 1 has {int(weights[0])}, "
+                f"row {j + 1} has {int(weights[j])}",
+                line=j + 2,
+            )
+    return matrix
+
+
+@pytest.mark.parametrize("model", ["rid", "rrsd"])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
+@pytest.mark.parametrize("block_rows", [1, 2, 3, None])
+def test_gtm1_codec_matches_reference(model, n, block_rows, monkeypatch, tmp_path):
+    # 7 rows in blocks of 1, 2 or 3 rows: every boundary, and a short last block
+    if block_rows is not None:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block_rows * (n + 1))
+    if model == "rid":
+        matrix = gen_rid(7, n, 0.6, seed=n)
+    else:
+        matrix = gen_rrsd(7, n, max(1, n // 3), seed=n)
+    text = reference_dumps(matrix)
+    assert dumps_gtm1(matrix) == text
+    path = tmp_path / "m.gtm1"
+    write_gtm1(matrix, path)
+    assert path.read_bytes() == text.encode("ascii")
+    assert parse_gtm1(text) == reference_parse(text) == matrix
+    assert read_gtm1(path) == matrix
+
+
+# ---------------------------------------------------------------------------
+# GTM1 properties
+# ---------------------------------------------------------------------------
+
+@st.composite
+def gtm1_matrices(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 20))
+    tag = draw(st.sampled_from(MODEL_TAGS))
+    seed = draw(st.integers(0, 2**70))
+    if tag == "RrSD":
+        weight = draw(st.integers(1, n))
+        dense = np.zeros((m, n), dtype=bool)
+        for j in range(m):
+            dense[j, draw(st.permutations(range(n)))[:weight]] = True
+    else:
+        dense = np.array(draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                       min_size=m, max_size=m)))
+    return TestMatrix.from_dense(dense, model_tag=tag, seed=seed)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix=gtm1_matrices(), block_rows=st.integers(1, 7))
+def test_gtm1_file_round_trip_is_byte_exact(matrix, block_rows, tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block_rows * (matrix.n + 1))
+    first, second = tmp_path / "a.gtm1", tmp_path / "b.gtm1"
+    write_gtm1(matrix, first)
+    assert first.read_bytes() == reference_dumps(matrix).encode("ascii")
+    back = read_gtm1(first)
+    assert back == matrix
+    write_gtm1(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+_VALID_HEADER = re.compile(rb"GTM1 [1-9][0-9]* [1-9][0-9]* (RID|RrSD|Explicit) (0|[1-9][0-9]*)\n")
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix=gtm1_matrices(), data=st.data())
+def test_gtm1_single_byte_corruption_is_located_or_round_trips(matrix, data):
+    original = dumps_gtm1(matrix).encode("ascii")
+    pos = data.draw(st.integers(0, len(original) - 1), label="pos")
+    value = data.draw(st.integers(0, 255), label="value")
+    assume(value != original[pos])
+    corrupted = original[:pos] + bytes([value]) + original[pos + 1:]
+    try:
+        back = core._decode(io.BytesIO(corrupted))
+    except ParseError as exc:
+        header_end = original.index(b"\n")
+        if pos <= header_end:
+            if _VALID_HEADER.fullmatch(corrupted[: corrupted.index(b"\n") + 1]) is None:
+                assert exc.line == 1, str(exc)
+            else:
+                # the header still reads, with another m, n or seed (a newline
+                # may split it or join row 1 to it), and the body disagrees
+                assert exc.line >= 2, str(exc)
+                with pytest.raises(ParseError):
+                    reference_parse(corrupted.decode("ascii"))
+            return
+        line = original[:pos].count(b"\n") + 1
+        if "weight" in str(exc):
+            # RrSD: a flipped cell changes its row's weight. Row 1 sets the
+            # shared weight, so a change there shows at row 2, against row 1.
+            assert exc.line == line or (line, exc.line) == (2, 3), str(exc)
+        else:
+            # a cell byte or a row's newline: the column is its place in the row
+            column = (pos - header_end - 1) % (matrix.n + 1) + 1
+            assert (exc.line, exc.column) == (line, column), str(exc)
+    else:
+        assert dumps_gtm1(back).encode("ascii") == corrupted
+        assert reference_parse(corrupted.decode("ascii")) == back
