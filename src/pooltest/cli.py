@@ -39,8 +39,9 @@ from .core import (
     BudgetExceededError,
     InputError,
     ParseError,
+    _canonical_int,
     answer_vector,
-    dumps_gtm1,
+    dump_gtm1,
     read_gtm1,
     validate_items,
     write_gtm1,
@@ -78,16 +79,29 @@ def _normalize_property(value: str) -> str:
     return prop
 
 
+def _decimal(text: str) -> int | None:
+    """``text`` read as a canonical ASCII decimal, ``0|[1-9][0-9]*``, else None."""
+    return _canonical_int(text.encode("utf-8", "surrogatepass"))
+
+
+def _decimal_arg(text: str) -> int:
+    value = _decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"expected a decimal integer (0|[1-9][0-9]*), got {text!r}")
+    return value
+
+
 def _default_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("POOLTEST_SEED")
     if env is None:
         return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"POOLTEST_SEED must be an integer, got {env!r}") from None
+    seed = _decimal(env)
+    if seed is None:
+        raise InputError(f"POOLTEST_SEED must be a decimal integer (0|[1-9][0-9]*), got {env!r}")
+    return seed
 
 
 def _emit_csv(columns: list[str], rows: list[list[str]], out) -> None:
@@ -245,7 +259,8 @@ def _cmd_generate(args, out) -> int:
         else:
             matrix = gen_rrsd(spec.m, spec.n, spec.row_weight, seed)
     if args.out is None:
-        out.write(dumps_gtm1(matrix))
+        out.flush()
+        dump_gtm1(matrix, out.buffer)
     else:
         write_gtm1(matrix, args.out)
     return 0
@@ -379,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("design", help="compute test count and cell parameters")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_decimal_arg, required=True)
+    p.add_argument("--d", type=_decimal_arg, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--property", required=True)
     p.add_argument("--model", choices=("rid", "rrsd"), default="rid")
@@ -388,20 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_design)
 
     p = sub.add_parser("table", help="per-ln-n coefficient table for d = 2..K")
-    p.add_argument("--d-max", type=int, required=True)
+    p.add_argument("--d-max", type=_decimal_arg, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("generate", help="write a seeded random matrix as GTM1")
     p.add_argument("--model", choices=("rid", "rrsd"), default="rid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
+    p.add_argument("--n", type=_decimal_arg, required=True)
+    p.add_argument("--m", type=_decimal_arg)
     p.add_argument("--zero-prob", type=float)
-    p.add_argument("--row-weight", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--row-weight", type=_decimal_arg)
+    p.add_argument("--d", type=_decimal_arg)
     p.add_argument("--delta", type=float)
     p.add_argument("--property")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_decimal_arg)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_generate)
 
@@ -416,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--answers", required=True)
     p.add_argument("--decoder", choices=("disjunct", "semi", "brute"), default="semi")
-    p.add_argument("--d", type=int)
-    p.add_argument("--max-subset-tests", type=int, default=10**8)
+    p.add_argument("--d", type=_decimal_arg)
+    p.add_argument("--max-subset-tests", type=_decimal_arg, default=10**8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_decode)
 
@@ -426,20 +441,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--defectives")
     p.add_argument("--items")
     p.add_argument("--property", required=True)
-    p.add_argument("--d", type=int)
+    p.add_argument("--d", type=_decimal_arg)
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo decode-success report")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=_decimal_arg, required=True)
+    p.add_argument("--d", type=_decimal_arg, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--property", required=True)
     p.add_argument("--model", choices=("rid", "rrsd"), default="rid")
     p.add_argument("--decoder", choices=("disjunct", "semidisjunct", "bruteforce"))
     p.add_argument("--defect-mode", choices=("exactly", "atmost"), default="exactly")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=_decimal_arg, default=100)
+    p.add_argument("--seed", type=_decimal_arg)
     p.add_argument("--timings", action="store_true")
     add_format(p)
     p.set_defaults(func=_cmd_simulate)

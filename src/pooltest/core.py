@@ -55,6 +55,7 @@ __all__ = [
     "validate_items",
     "validate_answers",
     "answer_vector",
+    "dump_gtm1",
     "dumps_gtm1",
     "parse_gtm1",
     "write_gtm1",
@@ -305,7 +306,8 @@ def _block_rows(m: int, n: int) -> int:
     return max(1, min(m, _BLOCK_BYTES // (n + 1)))
 
 
-def _encode(matrix: TestMatrix, f: BinaryIO) -> None:
+def dump_gtm1(matrix: TestMatrix, f: BinaryIO) -> None:
+    """Write ``matrix`` as GTM1 to the binary file ``f``, one block of rows at a time."""
     m, n = matrix.m, matrix.n
     f.write(f"GTM1 {m} {n} {matrix.model_tag} {matrix.seed}\n".encode("ascii"))
     buf = np.empty((_block_rows(m, n), n + 1), dtype=np.uint8)
@@ -317,14 +319,21 @@ def _encode(matrix: TestMatrix, f: BinaryIO) -> None:
         f.write(memoryview(blk))
 
 
-def _header_int(raw: bytes, message: str) -> int:
-    """A canonical ASCII decimal, ``0|[1-9][0-9]*``, or a ParseError at line 1."""
+def _canonical_int(raw: bytes) -> int | None:
+    """``raw`` read as a canonical ASCII decimal, ``0|[1-9][0-9]*``, else None."""
     if raw.isdigit() and (raw == b"0" or not raw.startswith(b"0")):
         try:
             return int(raw)
         except ValueError:  # more digits than int() converts
             pass
-    raise ParseError(message, line=1)
+    return None
+
+
+def _header_int(raw: bytes, message: str) -> int:
+    value = _canonical_int(raw)
+    if value is None:
+        raise ParseError(message, line=1)
+    return value
 
 
 def _read_header(f: BinaryIO) -> tuple[int, int, str, int]:
@@ -440,7 +449,7 @@ def _decode(f: BinaryIO) -> TestMatrix:
 def dumps_gtm1(matrix: TestMatrix) -> str:
     """The GTM1 document of ``matrix`` as a string (see ``write_gtm1``)."""
     out = io.BytesIO()
-    _encode(matrix, out)
+    dump_gtm1(matrix, out)
     return out.getvalue().decode("ascii")
 
 
@@ -455,7 +464,7 @@ def parse_gtm1(text: str) -> TestMatrix:
 def write_gtm1(matrix: TestMatrix, path: str | Path) -> None:
     """Write ``matrix`` to ``path`` as GTM1, one block of rows at a time."""
     with open(path, "wb") as f:
-        _encode(matrix, f)
+        dump_gtm1(matrix, f)
 
 
 def read_gtm1(path: str | Path) -> TestMatrix:

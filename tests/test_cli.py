@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from pooltest import cli, core
 from pooltest.cli import format_answer_line, parse_answer_file
-from pooltest.core import ParseError, answer_vector, read_gtm1
+from pooltest.core import ParseError, answer_vector, dumps_gtm1, read_gtm1
+from pooltest.randgen import gen_rid
 from pooltest.verify import is_semidisjunct
 
 
@@ -205,7 +208,9 @@ def test_generate_rrsd_rows(tmp_path):
 
 
 # SHA-256 of the GTM1 bytes `generate` wrote before the block-wise codec
-# replaced the per-row one; the codec must not change a byte.
+# replaced the per-row one; the codec must not change a byte. The last two
+# matrices hold at least 2^22 cells, so their rows are drawn on a thread
+# pool; their digests were taken while rows were still drawn one by one.
 GOLDEN_GENERATE = [
     (("--n", "10000", "--d", "4", "--delta", "0.1", "--property", "semi", "--seed", "17"),
      "45e56b3bdc87b732c6a550f03a8a2cdcf76dfab11ca1d2db5a0253ba01fe2c63"),
@@ -214,6 +219,11 @@ GOLDEN_GENERATE = [
      "13da0a76b9006a36e7eb5f02cd019fb91ba2a1454fb9ebd0c445f864c055cbc6"),
     (("--n", "1001", "--m", "37", "--zero-prob", "0.55", "--seed", "29"),
      "9eb4d8479e711a549e489406b5f360fa29b9fa2c4d02a9b55a67f33599a2625d"),
+    (("--n", "100000", "--m", "64", "--zero-prob", "0.75", "--seed", "31"),
+     "153f023acdadb7e4a36a70b75b5418043cfe7d4f5303945ba4b9a51ea3310013"),
+    (("--model", "rrsd", "--n", "100000", "--m", "64", "--row-weight", "20000",
+      "--seed", "37"),
+     "6cf839602470b8c46ece1f61a619935fd59f7bc4f14b08da31588890c5577a5a"),
 ]
 
 
@@ -260,6 +270,71 @@ def test_items_must_be_ascii_decimal(items, tmp_path):
     res = run_cli("answer", "--matrix", str(mfile), "--items", items)
     assert res.returncode == 1
     assert "invalid item index" in res.stderr and res.stderr.count("\n") == 1
+
+
+def test_numeric_flags_take_canonical_decimals(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("POOLTEST_SEED", raising=False)
+    out = tmp_path / "m.gtm1"
+    assert cli.main(["generate", "--n", "10", "--m", "1", "--zero-prob", "0.5",
+                     "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"GTM1 1 10 RID 0\n")
+    monkeypatch.setenv("POOLTEST_SEED", "4242")
+    assert cli.main(["generate", "--n", "12", "--m", "3", "--zero-prob", "0.5",
+                     "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"GTM1 3 12 RID 4242\n")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "+1", "-1", "007", " 1", "1 ", "", "1e3",
+                                   "0x1", "\udcff"])
+@pytest.mark.parametrize("flag", ["--n", "--m", "--seed"])
+def test_numeric_flags_reject_loose_integers(flag, value, capsys):
+    args = {"--n": "10", "--m": "1", "--seed": "3"}
+    args[flag] = value
+    argv = ["generate", "--zero-prob", "0.5"]
+    for name, text in args.items():
+        argv.append(f"{name}={text}")
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: argument {flag}: expected a decimal integer (0|[1-9][0-9]*), " \
+                  f"got {value!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--n", "1_000", "--d", "2", "--delta", "0.1", "--property", "semi"],
+    ["table", "--d-max", "\u0667"],
+    ["simulate", "--n", "100", "--d", "2", "--delta", "0.1", "--property", "semi",
+     "--trials", "1_0"],
+    ["decode", "--matrix", "m", "--answers", "a", "--max-subset-tests", "10_000"],
+])
+def test_every_command_rejects_loose_integers(argv, capsys):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["\u0662", "1_0", "+2", "02", "", "-1"])
+def test_env_seed_rejects_loose_integers(value, monkeypatch, capsys):
+    monkeypatch.setenv("POOLTEST_SEED", value)
+    assert cli.main(["generate", "--n", "10", "--m", "1", "--zero-prob", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: POOLTEST_SEED must be a decimal integer (0|[1-9][0-9]*), " \
+                  f"got {value!r}\n"
+
+
+def test_generate_streams_to_stdout(monkeypatch):
+    # The document goes to stdout's byte layer block by block; text still
+    # held in the text layer must reach the bytes first.
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 64)
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    stdout.write("before\n")
+    assert cli.main(["generate", "--n", "100", "--m", "9", "--zero-prob", "0.5",
+                     "--seed", "4"]) == 0
+    stdout.flush()
+    expected = "before\n" + dumps_gtm1(gen_rid(9, 100, 0.5, 4))
+    assert stdout.buffer.getvalue() == expected.encode("ascii")
 
 
 def test_unknown_flags_exit_one():

@@ -1,9 +1,12 @@
 import math
+import sys
+from concurrent import futures
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from pooltest import randgen
 from pooltest.core import InputError, dumps_gtm1
 from pooltest.design import optimal_zero_prob
 from pooltest.randgen import gen_rid, gen_rrsd, rid_row, rrsd_row
@@ -96,3 +99,86 @@ def test_rid_domain_errors(kwargs):
 def test_rrsd_domain_errors(weight):
     with pytest.raises(InputError):
         gen_rrsd(3, 7, weight, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the row filler against the row-by-row reference
+# ---------------------------------------------------------------------------
+
+def _reference_bits(model, m, n, param, seed):
+    row = rid_row if model == "rid" else rrsd_row
+    return np.array([np.packbits(row(seed, j, n, param)) for j in range(m)])
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every thread pool the filler starts."""
+    started = []
+
+    class CountingPool(futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            started.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", CountingPool)
+    return started
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("model,param", [("rid", 0.6), ("rrsd", 3)])
+@pytest.mark.parametrize("m,n", [(1, 15), (1, 17), (2, 16), (3, 13), (7, 33), (9, 40), (5, 1)])
+def test_filler_matches_row_by_row_reference(threaded, model, param, m, n, monkeypatch, pools):
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 16)
+    monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1 if threaded else m * n + 1)
+    monkeypatch.setattr(randgen, "_worker_count", lambda: 4)
+    param = min(param, n) if model == "rrsd" else param
+    gen = gen_rid if model == "rid" else gen_rrsd
+    matrix = gen(m, n, param, 41)
+    assert np.array_equal(matrix.bits, _reference_bits(model, m, n, param, 41))
+    # m = 1 leaves one worker, which fills inline; m < 4 uses m workers
+    assert pools == ([min(m, 4)] if threaded and m > 1 else [])
+
+
+@pytest.mark.parametrize("chunk", [8, 24, 1 << 16])
+def test_rid_chunking_keeps_the_stream(chunk, monkeypatch):
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", chunk)
+    for n in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        matrix = gen_rid(3, n, 0.7, 8)
+        assert np.array_equal(matrix.bits, _reference_bits("rid", 3, n, 0.7, 8))
+
+
+def test_threaded_fill_under_frequent_thread_switches(monkeypatch, pools):
+    # more workers than CPUs, switching every microsecond: a row written by
+    # the wrong worker or at the wrong offset would change the bits
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 8)
+    monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
+    monkeypatch.setattr(randgen, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rid, rrsd = gen_rid(64, 203, 0.5, 12), gen_rrsd(64, 203, 9, 12)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [8, 8]
+    assert np.array_equal(rid.bits, _reference_bits("rid", 64, 203, 0.5, 12))
+    assert np.array_equal(rrsd.bits, _reference_bits("rrsd", 64, 203, 9, 12))
+
+
+def test_single_cpu_fills_inline(monkeypatch, pools):
+    monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
+    monkeypatch.setattr(randgen, "_worker_count", lambda: 1)
+    inline = gen_rid(6, 50, 0.5, 3), gen_rrsd(6, 50, 5, 3)
+    assert pools == []
+    monkeypatch.setattr(randgen, "_worker_count", lambda: 2)
+    assert (gen_rid(6, 50, 0.5, 3), gen_rrsd(6, 50, 5, 3)) == inline
+    assert pools == [2, 2]
+
+
+def test_small_matrices_start_no_threads(pools):
+    gen_rid(100, 40, 0.5, 1)
+    gen_rrsd(10, 10**4, 100, 1)
+    assert pools == []
+    matrix = gen_rid(64, 1 << 16, 0.5, 1)  # exactly 2^22 cells
+    assert pools == ([] if randgen._worker_count() == 1 else [min(64, randgen._worker_count())])
+    for j in (0, 63):
+        assert np.array_equal(matrix.bits[j], np.packbits(rid_row(1, j, 1 << 16, 0.5)))
