@@ -10,8 +10,13 @@ File formats:
 * matrix — GTM1 text (see ``pooltest.core``);
 * answers — a single line of m characters, each '0' or '1', ended by LF or
   by the end of the file;
-* defectives — whitespace-separated 1-based item indices, each ASCII
-  decimal digits (``--items`` takes the same list).
+* defectives — whitespace-separated 1-based item indices, each a canonical
+  ASCII decimal, ``0|[1-9][0-9]*`` (``--items`` takes the same list).
+
+Integer flags take the same canonical decimals; real
+flags (``--delta``, ``--zero-prob``) take ASCII decimals of the form
+``(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?``, with no sign, blank or
+``_``, and no ``nan`` or ``inf``.
 
 Files are read as bytes: a byte the format does not allow is a parse error
 naming its line and column.
@@ -40,6 +45,7 @@ from .core import (
     InputError,
     ParseError,
     _canonical_int,
+    _canonical_real,
     answer_vector,
     dump_gtm1,
     read_gtm1,
@@ -92,6 +98,14 @@ def _decimal_arg(text: str) -> int:
     return value
 
 
+def _real_arg(text: str) -> float:
+    value = _canonical_real(text.encode("utf-8", "surrogatepass"))
+    if value is None:
+        raise argparse.ArgumentTypeError(
+            f"expected a decimal number ((0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?), got {text!r}")
+    return value
+
+
 def _default_seed(value: int | None) -> int:
     if value is not None:
         return value
@@ -120,19 +134,16 @@ def _emit(args, columns: list[str], rows: list[list[str]], records: list[dict], 
 
 
 def _item_tokens(data: bytes, source: str) -> list[int]:
-    """Whitespace-separated item indices, each an ASCII decimal."""
+    """Whitespace-separated item indices, each a canonical ASCII decimal."""
     parsed = []
     for lineno, line in enumerate(data.split(b"\n"), start=1):
         for match in re.finditer(rb"\S+", line):
-            tok = match.group()
-            try:
-                if not tok.isdigit():  # ASCII digits only, unlike int()
-                    raise ValueError
-                parsed.append(int(tok))
-            except ValueError:
-                shown = tok.decode("ascii", "backslashreplace")
+            value = _canonical_int(match.group())
+            if value is None:
+                shown = match.group().decode("ascii", "backslashreplace")
                 raise ParseError(f"invalid item index '{shown}' in {source}",
-                                 line=lineno, column=match.start() + 1) from None
+                                 line=lineno, column=match.start() + 1)
+            parsed.append(value)
     return parsed
 
 
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="compute test count and cell parameters")
     p.add_argument("--n", type=_decimal_arg, required=True)
     p.add_argument("--d", type=_decimal_arg, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_real_arg, required=True)
     p.add_argument("--property", required=True)
     p.add_argument("--model", choices=("rid", "rrsd"), default="rid")
     add_format(p)
@@ -411,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("rid", "rrsd"), default="rid")
     p.add_argument("--n", type=_decimal_arg, required=True)
     p.add_argument("--m", type=_decimal_arg)
-    p.add_argument("--zero-prob", type=float)
+    p.add_argument("--zero-prob", type=_real_arg)
     p.add_argument("--row-weight", type=_decimal_arg)
     p.add_argument("--d", type=_decimal_arg)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--delta", type=_real_arg)
     p.add_argument("--property")
     p.add_argument("--seed", type=_decimal_arg)
     p.add_argument("--out")
@@ -448,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="seeded Monte Carlo decode-success report")
     p.add_argument("--n", type=_decimal_arg, required=True)
     p.add_argument("--d", type=_decimal_arg, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--delta", type=_real_arg, required=True)
     p.add_argument("--property", required=True)
     p.add_argument("--model", choices=("rid", "rrsd"), default="rid")
     p.add_argument("--decoder", choices=("disjunct", "semidisjunct", "bruteforce"))

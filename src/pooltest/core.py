@@ -36,6 +36,8 @@ within a row the column, of its first defect in file order. ``write`` after
 from __future__ import annotations
 
 import io
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
@@ -119,7 +121,9 @@ class TestMatrix:
     (0-based) lives in byte ``i // 8`` of row j at bit mask ``0x80 >> (i % 8)``.
     Padding bits past column n are always zero. ``seed`` records the
     generator seed the matrix was drawn from (0 for explicit matrices) so
-    any derived quantity can name its source.
+    any derived quantity can name its source. The constructor stores a
+    read-only copy of ``bits``, so writing to the caller's array, a view of
+    it or its base leaves the matrix unchanged.
     """
 
     m: int
@@ -129,6 +133,22 @@ class TestMatrix:
     seed: int = 0
 
     def __post_init__(self):
+        self._check()
+        bits = self.bits.copy()
+        bits.setflags(write=False)
+        object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def _adopt(cls, m: int, n: int, bits: np.ndarray, model_tag: str, seed: int) -> "TestMatrix":
+        """A matrix around ``bits``, an array its caller made and hands over: no copy."""
+        matrix = cls.__new__(cls)
+        for name, value in zip(("m", "n", "bits", "model_tag", "seed"), (m, n, bits, model_tag, seed)):
+            object.__setattr__(matrix, name, value)
+        matrix._check()
+        bits.setflags(write=False)
+        return matrix
+
+    def _check(self) -> None:
         _require_int(self.m, "m", 1)
         _require_int(self.n, "n", 1)
         _require_int(self.seed, "seed", 0)
@@ -144,7 +164,6 @@ class TestMatrix:
         pad = (-self.n) % 8
         if pad and int(self.bits[:, -1].max(initial=0)) & ((1 << pad) - 1):
             raise InputError("padding bits past column n must be zero")
-        self.bits.setflags(write=False)
 
     @classmethod
     def from_dense(cls, rows, model_tag: str = "Explicit", seed: int = 0) -> "TestMatrix":
@@ -158,7 +177,7 @@ class TestMatrix:
                 raise InputError("dense cells must be 0 or 1")
             dense = dense.astype(bool)
         m, n = dense.shape
-        return cls(m=m, n=n, bits=np.packbits(dense, axis=1), model_tag=model_tag, seed=seed)
+        return cls._adopt(m, n, np.packbits(dense, axis=1), model_tag, seed)
 
     @classmethod
     def identity(cls, n: int) -> "TestMatrix":
@@ -329,6 +348,19 @@ def _canonical_int(raw: bytes) -> int | None:
     return None
 
 
+# the one grammar of real numbers on the command line: ASCII, no sign
+_REAL = re.compile(rb"(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
+def _canonical_real(raw: bytes) -> float | None:
+    """``raw`` read as a finite ASCII decimal matching ``_REAL``, else None."""
+    if _REAL.fullmatch(raw):
+        value = float(raw)
+        if math.isfinite(value):
+            return value
+    return None
+
+
 def _header_int(raw: bytes, message: str) -> int:
     value = _canonical_int(raw)
     if value is None:
@@ -443,7 +475,7 @@ def _decode(f: BinaryIO) -> TestMatrix:
         bits[r : r + k] = np.packbits(blk_cells, axis=1)
     if f.read(1):
         raise ParseError(f"expected {m} row lines, found more", line=m + 2)
-    return TestMatrix(m=m, n=n, bits=bits, model_tag=tag, seed=seed)
+    return TestMatrix._adopt(m, n, bits, tag, seed)
 
 
 def dumps_gtm1(matrix: TestMatrix) -> str:

@@ -207,20 +207,22 @@ def test_generate_rrsd_rows(tmp_path):
     assert (matrix.row_weights() == 4).all()
 
 
-# SHA-256 of the GTM1 bytes `generate` wrote before the block-wise codec
-# replaced the per-row one; the codec must not change a byte. The last two
-# matrices hold at least 2^22 cells, so their rows are drawn on a thread
-# pool; their digests were taken while rows were still drawn one by one.
+# SHA-256 of the GTM1 bytes `generate` writes. The rrsd digests were taken
+# before the block-wise codec replaced the per-row one, and while rows were
+# still drawn one by one. The rid digests were re-pinned when rid rows moved
+# to the byte-threshold stream (see pooltest.randgen), a deliberate change of
+# the random stream; they must not change again by accident. The last two
+# matrices hold at least 2^22 cells, so their rows are drawn on a thread pool.
 GOLDEN_GENERATE = [
     (("--n", "10000", "--d", "4", "--delta", "0.1", "--property", "semi", "--seed", "17"),
-     "45e56b3bdc87b732c6a550f03a8a2cdcf76dfab11ca1d2db5a0253ba01fe2c63"),
+     "5a779349d528fb6b1f27ad69f7db5415e8b4aa0ed69826ea410e25dd00285b73"),
     (("--model", "rrsd", "--n", "5000", "--d", "3", "--delta", "0.1",
       "--property", "disjunct", "--seed", "23"),
      "13da0a76b9006a36e7eb5f02cd019fb91ba2a1454fb9ebd0c445f864c055cbc6"),
     (("--n", "1001", "--m", "37", "--zero-prob", "0.55", "--seed", "29"),
-     "9eb4d8479e711a549e489406b5f360fa29b9fa2c4d02a9b55a67f33599a2625d"),
+     "d2fccbd24f16be50fe2c1848089651f6487e674c6f893ce354841cc5efcbda8f"),
     (("--n", "100000", "--m", "64", "--zero-prob", "0.75", "--seed", "31"),
-     "153f023acdadb7e4a36a70b75b5418043cfe7d4f5303945ba4b9a51ea3310013"),
+     "cbdf46cda5b3522ea6f6e6daa6ab3e8df8b1c3f79eb1a72aed9912f0e8c7ffd4"),
     (("--model", "rrsd", "--n", "100000", "--m", "64", "--row-weight", "20000",
       "--seed", "37"),
      "6cf839602470b8c46ece1f61a619935fd59f7bc4f14b08da31588890c5577a5a"),
@@ -245,6 +247,7 @@ def test_generate_bytes_are_golden(args, digest, tmp_path):
     ("answers", b"01\r\n", "line 1, column 3: invalid answer character '\\r'"),
     ("defectives", b"1\n 2 \xff3\n", "line 2, column 4: invalid item index '\\xff3'"),
     ("defectives", b"1_0\n", "line 1, column 1: invalid item index '1_0'"),
+    ("defectives", b"2\n3 01\n", "line 2, column 3: invalid item index '01'"),
 ])
 def test_bad_bytes_give_one_line_errors(target, content, message, tmp_path):
     files = {name: tmp_path / name for name in ("matrix", "answers", "defectives")}
@@ -263,7 +266,7 @@ def test_bad_bytes_give_one_line_errors(target, content, message, tmp_path):
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("items", ["\u0662", "1_0", "+1", "1 x"])
+@pytest.mark.parametrize("items", ["\u0662", "1_0", "+1", "1 x", "007", "3 01"])
 def test_items_must_be_ascii_decimal(items, tmp_path):
     mfile = tmp_path / "m.gtm1"
     mfile.write_text("GTM1 1 12 RID 0\n101010101010\n")
@@ -312,6 +315,54 @@ def test_every_command_rejects_loose_integers(argv, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: argument --") and err.count("\n") == 1
+
+
+def test_item_index_error_names_line_and_column(tmp_path):
+    mfile = tmp_path / "m.gtm1"
+    mfile.write_text("GTM1 1 12 RID 0\n101010101010\n")
+    res = run_cli("answer", "--matrix", str(mfile), "--items", "3 007")
+    assert res.returncode == 1
+    assert res.stderr == "error: line 1, column 3: invalid item index '007' in --items\n"
+
+
+REAL_GRAMMAR = "(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?"
+
+# (command line without the real flag, the real flag); every real flag of every command
+REAL_FLAGS = [
+    (["design", "--n", "1000", "--d", "2", "--property", "semi"], "--delta"),
+    (["generate", "--n", "10", "--m", "2", "--seed", "1", "--out", "{out}"], "--zero-prob"),
+    (["generate", "--n", "30", "--d", "2", "--property", "semi", "--seed", "1", "--out", "{out}"],
+     "--delta"),
+    (["simulate", "--n", "30", "--d", "2", "--property", "semi", "--trials", "2", "--seed", "1"],
+     "--delta"),
+]
+
+
+@pytest.mark.parametrize("value", ["0.5", "0.25", "5e-1", "0.5E0", "25e-2", "0.05", "1e-1",
+                                   "0.999", "2.5E-1"])
+@pytest.mark.parametrize("argv,flag", REAL_FLAGS)
+def test_real_flags_take_ascii_decimals(argv, flag, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("POOLTEST_SEED", raising=False)
+    out = tmp_path / "m.gtm1"
+    args = [a.format(out=out) for a in argv] + [f"{flag}={value}"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+    if flag == "--zero-prob":  # the value reaches the sampler as float() reads it
+        assert read_gtm1(out) == gen_rid(2, 10, float(value), 1)
+
+
+@pytest.mark.parametrize("value", ["0.1_0", "\u0660.\u0665", "0\u00b75", " 0.5", "0.5 ", "",
+                                   "nan", "inf", "-0.5", "+0.5", ".5", "5.", "00.5", "0x1p-1",
+                                   "1e999", "0.5e", "\udcff"])
+@pytest.mark.parametrize("argv,flag", REAL_FLAGS)
+def test_real_flags_reject_loose_numbers(argv, flag, value, tmp_path, capsys):
+    args = [a.format(out=tmp_path / "m.gtm1") for a in argv] + [f"{flag}={value}"]
+    assert cli.main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: argument {flag}: expected a decimal number ({REAL_GRAMMAR}), " \
+                  f"got {value!r}\n"
+    assert not (tmp_path / "m.gtm1").exists()
 
 
 @pytest.mark.parametrize("value", ["\u0662", "1_0", "+2", "02", "", "-1"])

@@ -126,6 +126,35 @@ def test_matrix_bits_are_frozen():
         m.bits[0, 0] = 7
 
 
+def test_matrix_does_not_share_the_callers_array():
+    base = np.zeros((2, 2), dtype=np.uint8)
+    view = base[:, :]
+    from_view = TestMatrix(2, 16, base[:, :])
+    from_base = TestMatrix(2, 16, base)
+    base[0, 0] = 255
+    view[1, 1] = 7
+    for matrix in (from_view, from_base):
+        assert not matrix.bits.any()
+        with pytest.raises(ValueError):
+            matrix.bits[0, 0] = 1
+    assert base.flags.writeable and base[0, 0] == 255 and base[1, 1] == 7
+
+
+def test_generators_and_reader_hand_over_their_arrays(monkeypatch, tmp_path):
+    # the public constructor copies; the library's own fresh arrays are adopted
+    path = tmp_path / "m.gtm1"
+    path.write_bytes(b"GTM1 2 3 RID 4\n101\n011\n")
+
+    def copying_constructor(self):
+        raise AssertionError("a fresh array was copied")
+
+    monkeypatch.setattr(TestMatrix, "__post_init__", copying_constructor)
+    for matrix in (gen_rid(3, 20, 0.5, 1), gen_rrsd(3, 20, 4, 1), read_gtm1(path),
+                   TestMatrix.from_dense([[1, 0], [0, 1]])):
+        with pytest.raises(ValueError):
+            matrix.bits[0, 0] = 1
+
+
 # ---------------------------------------------------------------------------
 # DesignSpec invariants
 # ---------------------------------------------------------------------------

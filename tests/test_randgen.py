@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent import futures
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -182,3 +183,145 @@ def test_small_matrices_start_no_threads(pools):
     assert pools == ([] if randgen._worker_count() == 1 else [min(64, randgen._worker_count())])
     for j in (0, 63):
         assert np.array_equal(matrix.bits[j], np.packbits(rid_row(1, j, 1 << 16, 0.5)))
+
+
+# ---------------------------------------------------------------------------
+# the byte-threshold rid stream against an exact rational reference
+# ---------------------------------------------------------------------------
+
+def _fraction_row(seed, row_index, n, zero_prob):
+    """Row ``row_index`` by the stream's specification, in exact arithmetic.
+
+    Each cell reads bytes b1 b2 ... of a uniform U = 0.b1 b2 ... in base 256,
+    round by round: round 1 gives byte i to cell i, and every later round
+    gives one new byte to each undecided cell, in column order. A round's
+    bytes are the little-endian bytes of the next ceil(t/8) raw 64-bit words
+    for t undecided cells. After k bytes U lies in [low, low + 256^-k): the
+    cell is 0 once that interval lies below zero_prob, and 1 once low reaches
+    it.
+    """
+    bits = np.random.default_rng(np.random.SeedSequence([seed, row_index])).bit_generator
+    p = Fraction(zero_prob)
+    low = [Fraction(0)] * n
+    cells = [None] * n
+    undecided = list(range(n))
+    width = Fraction(1)
+    while undecided:
+        words = bits.random_raw((len(undecided) + 7) // 8).tolist()
+        data = b"".join(w.to_bytes(8, "little") for w in words)
+        width /= 256
+        still = []
+        for col, byte in zip(undecided, data):
+            low[col] += byte * width
+            if low[col] + width <= p:
+                cells[col] = False
+            elif low[col] >= p:
+                cells[col] = True
+            else:
+                still.append(col)
+        undecided = still
+    return np.array(cells, dtype=bool)
+
+
+ZERO_PROBS = [0.5, 0.6, 0.875, 1 / 3, 0.001, 0.999, 1e-300]
+
+
+def test_zero_prob_digits_cover_the_first_byte_range():
+    # 0.001 has first digit 0, so no byte is below it; 0.999 has 255, so none above
+    assert randgen._digits(0.001)[0] == 0 and randgen._digits(0.999)[0] == 255
+    assert randgen._digits(0.5) == (128,) and randgen._digits(0.875) == (224,)
+    for p in ZERO_PROBS:
+        digits = randgen._digits(p)
+        assert sum(Fraction(z, 256 ** (k + 1)) for k, z in enumerate(digits)) == Fraction(p)
+
+
+@pytest.mark.parametrize("zero_prob", ZERO_PROBS)
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
+def test_rid_rows_equal_the_fraction_reference(zero_prob, n):
+    matrix = gen_rid(3, n, zero_prob, 57)
+    for j in range(3):
+        expected = _fraction_row(57, j, n, zero_prob)
+        assert np.array_equal(rid_row(57, j, n, zero_prob), expected)
+        assert np.array_equal(matrix.bits[j], np.packbits(expected))
+
+
+@pytest.mark.parametrize("zero_prob", [0.6, 0.999, 1e-300])
+@pytest.mark.parametrize("n", [15, 16, 17, 40, 61])
+@pytest.mark.parametrize("threaded", [False, True])
+def test_fraction_reference_across_chunks_and_blocks(zero_prob, n, threaded, monkeypatch):
+    # 16-cell chunks split the wider rows; 48-cell blocks group the shorter
+    # ones, three at a time, so the 7 rows end in a short block
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 16)
+    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 48)
+    monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1 if threaded else 10**9)
+    monkeypatch.setattr(randgen, "_worker_count", lambda: 2)
+    matrix = gen_rid(7, n, zero_prob, 3)
+    expected = np.array([np.packbits(_fraction_row(3, j, n, zero_prob)) for j in range(7)])
+    assert np.array_equal(matrix.bits, expected)
+
+
+def test_threaded_blocks_under_frequent_thread_switches(monkeypatch, pools):
+    # blocks of three 13-cell rows, strided over 8 workers
+    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 40)
+    monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
+    monkeypatch.setattr(randgen, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        matrix = gen_rid(70, 13, 0.6, 12)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [8]
+    assert np.array_equal(matrix.bits, _reference_bits("rid", 70, 13, 0.6, 12))
+
+
+def test_ties_are_broken_after_the_whole_row(monkeypatch):
+    # With 8-cell chunks a row of 4096 cells has about 16 ties spread over
+    # many chunks; their second bytes must come after the row's last chunk.
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 8)
+    zero_prob = 0.6
+    matrix = gen_rid(2, 4096, zero_prob, 5)
+    for j in range(2):
+        assert np.array_equal(matrix.bits[j], np.packbits(_fraction_row(5, j, 4096, zero_prob)))
+
+
+def _two_sided_binomial_p(zeros, cells, p):
+    """Two-sided p-value of ``zeros`` ~ Binomial(cells, p): twice the tail on its side.
+
+    The tail is summed term by term from ``zeros`` outwards, where the terms
+    only shrink, until they no longer change the sum.
+    """
+    def pmf(k):
+        return math.exp(math.lgamma(cells + 1) - math.lgamma(k + 1) - math.lgamma(cells - k + 1)
+                        + k * math.log(p) + (cells - k) * math.log1p(-p))
+
+    step = -1 if zeros <= cells * p else 1
+    tail, k = 0.0, zeros
+    while 0 <= k <= cells:
+        term = pmf(k)
+        tail += term
+        if term < 1e-17 * tail:
+            break
+        k += step
+    return min(1.0, 2 * tail)
+
+
+# Each case fails a correct sampler with probability at most ALPHA.
+ALPHA = 1e-4
+
+
+@pytest.mark.parametrize("zero_prob", [0.5, 2 / 3, 0.75, 8 / 9, 1 / 3, 0.001, 0.999])
+def test_rid_zero_frequency_is_binomial(zero_prob):
+    matrix = gen_rid(100, 10**4, zero_prob, 2718)
+    cells = matrix.m * matrix.n
+    zeros = cells - int(matrix.row_weights().sum())
+    assert _two_sided_binomial_p(zeros, cells, zero_prob) >= ALPHA, (zeros, cells * zero_prob)
+
+
+def test_binomial_p_value_rejects_a_shifted_count():
+    # the test has power: 4.5 standard deviations off gives p < ALPHA
+    cells, p = 10**6, 0.75
+    sigma = math.sqrt(cells * p * (1 - p))
+    assert _two_sided_binomial_p(round(cells * p), cells, p) > 0.9
+    assert _two_sided_binomial_p(round(cells * p + 4.5 * sigma), cells, p) < ALPHA
+    assert _two_sided_binomial_p(round(cells * p - 4.5 * sigma), cells, p) < ALPHA
