@@ -45,6 +45,7 @@ from .randgen import gen_rid, gen_rrsd
 from .simulate import SimulationReport, TrialConfig, estimate_property_rate, run_trials
 from .verify import (
     PropertyReport,
+    check_property,
     is_disjunct,
     is_semidisjunct,
     is_separable,

@@ -61,7 +61,7 @@ from .decode import (
 )
 from .randgen import gen_rid, gen_rrsd
 from .simulate import TrialConfig, run_trials
-from .verify import is_semidisjunct, non_disjunct_items, separability_witness
+from .verify import check_property
 
 CSV_SCHEMA_COMMENT = "# pooltest-csv v1"
 
@@ -118,19 +118,37 @@ def _default_seed(value: int | None) -> int:
     return seed
 
 
-def _emit_csv(columns: list[str], rows: list[list[str]], out) -> None:
+# CSV format spec of a float field; any other float field takes ".4f"
+_FLOAT_FORMATS = {
+    "delta": "g", "success_rate": ".6f", "wilson_low": ".6f", "wilson_high": ".6f",
+    "mean_seconds": ".6f", "max_seconds": ".6f",
+}
+
+
+def _csv_cell(field: str, value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return " ".join(map(str, value))
+    if isinstance(value, float):
+        return format(value, _FLOAT_FORMATS.get(field, ".4f"))
+    return str(value)
+
+
+def _emit(args, records: dict | list[dict], out) -> None:
+    """Print one record, or a list of records with the same fields, as
+    ``--format`` asks: JSON as given (a tuple becomes a list), or CSV with
+    one row per record, each cell by ``_csv_cell``."""
+    if args.format == "json":
+        print(json.dumps(records, indent=2), file=out)
+        return
+    rows = records if isinstance(records, list) else [records]
     print(CSV_SCHEMA_COMMENT, file=out)
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-
-
-def _emit(args, columns: list[str], rows: list[list[str]], records: list[dict], out) -> None:
-    if args.format == "json":
-        payload = records[0] if len(records) == 1 else records
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        _emit_csv(columns, rows, out)
+    writer.writerow(rows[0])
+    writer.writerows([_csv_cell(field, value) for field, value in row.items()] for row in rows)
 
 
 def _item_tokens(data: bytes, source: str) -> list[int]:
@@ -213,39 +231,21 @@ def _cmd_design(args, out) -> int:
         coefficient = design_mod.disjunct_coefficient(spec.d - 1)
     else:
         coefficient = design_mod.semidisjunct_coefficient(spec.d)
-    zero = f"{spec.zero_prob:.4f}" if spec.zero_prob is not None else ""
-    one = f"{1.0 - spec.zero_prob:.4f}" if spec.zero_prob is not None else ""
-    weight = str(spec.row_weight) if spec.row_weight is not None else ""
-    columns = ["n", "d", "delta", "property", "model", "m", "zero_prob", "one_prob",
-               "row_weight", "log_n_coefficient"]
-    row = [str(spec.n), str(spec.d), f"{spec.delta:g}", prop, spec.model, str(spec.m),
-           zero, one, weight, f"{coefficient:.4f}"]
-    record = {
+    _emit(args, {
         "n": spec.n, "d": spec.d, "delta": spec.delta, "property": prop,
         "model": spec.model, "m": spec.m, "zero_prob": spec.zero_prob,
         "one_prob": None if spec.zero_prob is None else 1.0 - spec.zero_prob,
         "row_weight": spec.row_weight, "log_n_coefficient": coefficient,
-    }
-    _emit(args, columns, [row], [record], out)
+    }, out)
     return 0
 
 
 def _cmd_table(args, out) -> int:
-    rows = design_mod.coefficient_table(args.d_max)
-    columns = ["d", "disjunct", "separable", "semidisjunct"]
-    csv_rows = [
-        [str(r.d), f"{r.disjunct:.4f}", f"{r.separable:.4f}", f"{r.semidisjunct:.4f}"]
-        for r in rows
-    ]
-    records = [
+    _emit(args, [
         {"d": r.d, "disjunct": r.disjunct, "separable": r.separable,
          "semidisjunct": r.semidisjunct}
-        for r in rows
-    ]
-    if args.format == "json":
-        print(json.dumps(records, indent=2), file=out)
-    else:
-        _emit_csv(columns, csv_rows, out)
+        for r in design_mod.coefficient_table(args.d_max)
+    ], out)
     return 0
 
 
@@ -313,35 +313,16 @@ def _cmd_verify(args, out) -> int:
     matrix = read_gtm1(args.matrix)
     items = _read_items(args, matrix.n)
     prop = _normalize_property(args.property)
-    threshold = ""
-    if prop == "disjunct":
-        unwitnessed = non_disjunct_items(matrix, items)
-        holds = len(unwitnessed) == 0
-        witness: tuple[int, ...] | None = unwitnessed if not holds else None
-    elif prop == "separable":
-        if args.d is None:
-            raise InputError("--d is required for the separable property")
-        unwitnessed = non_disjunct_items(matrix, items)
-        witness = separability_witness(matrix, items, args.d)
-        holds = witness is None
-    else:
-        if args.d is None:
-            raise InputError("--d is required for the semidisjunct property")
-        report = is_semidisjunct(matrix, items, args.d)
-        holds, witness, unwitnessed = report.holds, report.witness, report.non_disjunct_items
-        threshold = f"{report.threshold:.4f}"
-    columns = ["property", "holds", "witness", "non_disjunct_count", "non_disjunct_items",
-               "threshold"]
-    row = [prop, str(holds).lower(), " ".join(map(str, witness or ())),
-           str(len(unwitnessed)), " ".join(map(str, unwitnessed)), threshold]
-    record = {
-        "property": prop, "holds": holds,
-        "witness": list(witness) if witness else None,
-        "non_disjunct_count": len(unwitnessed),
-        "non_disjunct_items": list(unwitnessed),
-        "threshold": float(threshold) if threshold else None,
-    }
-    _emit(args, columns, [row], [record], out)
+    if prop != "disjunct" and args.d is None:
+        raise InputError(f"--d is required for the {prop} property")
+    report = check_property(matrix, items, prop, args.d)
+    _emit(args, {
+        "property": prop, "holds": report.holds, "witness": report.witness,
+        "non_disjunct_count": len(report.non_disjunct_items),
+        "non_disjunct_items": report.non_disjunct_items,
+        # JSON shows the threshold as CSV does, to 4 decimals
+        "threshold": None if report.threshold is None else round(report.threshold, 4),
+    }, out)
     return 0
 
 
@@ -361,17 +342,6 @@ def _cmd_simulate(args, out) -> int:
         defect_mode=defect_mode,
     )
     report = run_trials(cfg)
-    param = f"{spec.zero_prob:.4f}" if spec.model == "rid" else str(spec.row_weight)
-    columns = ["n", "d", "delta", "property", "model", "m", "param", "decoder",
-               "defect_mode", "trials", "successes", "failures", "refusals",
-               "success_rate", "wilson_low", "wilson_high", "mean_residual",
-               "mean_non_disjunct"]
-    row = [str(spec.n), str(spec.d), f"{spec.delta:g}", prop, spec.model, str(spec.m),
-           param, decoder, defect_mode, str(report.trials), str(report.successes),
-           str(report.failures), str(report.refusals), f"{report.success_rate:.6f}",
-           f"{report.wilson_low:.6f}", f"{report.wilson_high:.6f}",
-           "" if report.mean_residual is None else f"{report.mean_residual:.4f}",
-           "" if report.mean_non_disjunct is None else f"{report.mean_non_disjunct:.4f}"]
     record = {
         "n": spec.n, "d": spec.d, "delta": spec.delta, "property": prop,
         "model": spec.model, "m": spec.m,
@@ -384,11 +354,9 @@ def _cmd_simulate(args, out) -> int:
         "mean_non_disjunct": report.mean_non_disjunct,
     }
     if args.timings:
-        columns += ["mean_seconds", "max_seconds"]
-        row += [f"{report.mean_seconds:.6f}", f"{report.max_seconds:.6f}"]
         record["mean_seconds"] = report.mean_seconds
         record["max_seconds"] = report.max_seconds
-    _emit(args, columns, [row], [record], out)
+    _emit(args, record, out)
     return 0
 
 

@@ -113,6 +113,16 @@ def _require_int(value, name: str, minimum: int | None = None, maximum: int | No
     return v
 
 
+def _require_open_unit(value, name: str) -> float:
+    """``value`` as a float strictly inside (0, 1): a probability or a delta."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    v = float(value)
+    if not 0.0 < v < 1.0:  # NaN fails too
+        raise InputError(f"{name} must lie strictly inside (0, 1), got {v}")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class TestMatrix:
     """Immutable bit-packed m x n test matrix.
@@ -250,8 +260,7 @@ class DesignSpec:
         _require_int(self.m, "m", 1)
         if self.d > self.n:
             raise InputError(f"d must be <= n, got d={self.d}, n={self.n}")
-        if not isinstance(self.delta, (int, float)) or not 0.0 < float(self.delta) < 1.0:
-            raise InputError(f"delta must be in (0, 1), got {self.delta!r}")
+        _require_open_unit(self.delta, "delta")
         if self.model not in MODELS:
             raise InputError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.property_name not in PROPERTIES:
@@ -259,8 +268,7 @@ class DesignSpec:
         if self.property_name != "disjunct" and self.d < 2:
             raise InputError(f"d must be >= 2 for {self.property_name}")
         if self.model == "rid":
-            if self.zero_prob is None or not 0.0 < float(self.zero_prob) < 1.0:
-                raise InputError("rid model requires zero_prob in (0, 1)")
+            _require_open_unit(self.zero_prob, "zero_prob")
             if self.row_weight is not None:
                 raise InputError("rid model does not take row_weight")
         else:

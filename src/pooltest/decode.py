@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,17 +94,27 @@ def decode_disjunct(matrix: TestMatrix, answers) -> DecodeOutcome:
     )
 
 
-def _column_ints(matrix: TestMatrix, items: Sequence[int]) -> list[int]:
-    """Each item's column as an m-bit integer (row 0 = most significant)."""
-    cols = []
-    for item in items:
-        packed = np.packbits(matrix.column_bits(item))
-        cols.append(int.from_bytes(packed.tobytes(), "big"))
-    return cols
+def _consistent_sets(
+    matrix: TestMatrix, candidates: Sequence[int], answers: np.ndarray, sizes: Iterable[int]
+) -> Iterator[tuple[int, ...]]:
+    """Sets of ``candidates`` whose columns OR to exactly ``answers``.
 
+    Yields 1-based tuples by size, in the order of ``sizes``, then in
+    lexicographic order. Columns and answers are compared as m-bit
+    integers, row 0 most significant.
+    """
+    def packed(bits: np.ndarray) -> int:
+        return int.from_bytes(np.packbits(bits).tobytes(), "big")
 
-def _answers_int(answers: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(answers).tobytes(), "big")
+    target = packed(answers)
+    cols = [packed(matrix.column_bits(item)) for item in candidates]
+    for size in sizes:
+        for combo in combinations(range(len(cols)), size):
+            acc = 0
+            for idx in combo:
+                acc |= cols[idx]
+            if acc == target:
+                yield tuple(candidates[idx] for idx in combo)
 
 
 def decode_semidisjunct(
@@ -115,7 +125,12 @@ def decode_semidisjunct(
 ) -> DecodeOutcome:
     """Elimination, then an exhaustive scan of size-d subsets of the residue.
 
-    If at most d items survive elimination they are returned as-is.
+    If at most d items survive elimination they are returned unchecked, as
+    ``decoded``: nothing tests that they reproduce ``answers`` or that no
+    smaller set does. With tests {1,2,3}, {1,4}, {5}, {2,6}, {3}, answers
+    11000 and d = 3, the survivors (1, 4) are returned though {1} alone
+    explains the answers.
+
     Otherwise size-d subsets of the residue are tried in lexicographic
     order and the first one reproducing ``answers`` exactly is returned;
     ``no_consistent_set`` if none does. Exact recovery is guaranteed when
@@ -144,24 +159,11 @@ def decode_semidisjunct(
             f"exhaustive finish needs C({len(survivors)}, {d}) subset tests, "
             f"over the budget of {max_subset_tests}"
         )
-    cols = _column_ints(matrix, survivors)
-    target = _answers_int(ans)
-    for combo in combinations(range(len(survivors)), d):
-        acc = 0
-        for idx in combo:
-            acc |= cols[idx]
-        if acc == target:
-            return DecodeOutcome(
-                status=DECODED,
-                items=tuple(survivors[idx] for idx in combo),
-                consistent_count=1,
-                eliminated_count=eliminated,
-                exhaustive_candidates=len(survivors),
-            )
+    found = next(_consistent_sets(matrix, survivors, ans, (d,)), None)
     return DecodeOutcome(
-        status=NO_CONSISTENT_SET,
-        items=None,
-        consistent_count=0,
+        status=NO_CONSISTENT_SET if found is None else DECODED,
+        items=found,
+        consistent_count=int(found is not None),
         eliminated_count=eliminated,
         exhaustive_candidates=len(survivors),
     )
@@ -187,41 +189,13 @@ def decode_separable_bruteforce(
             f"got n={matrix.n}, d={d}"
         )
     ans = validate_answers(matrix, answers)
-    cols = _column_ints(matrix, range(1, matrix.n + 1))
-    target = _answers_int(ans)
-
-    first: tuple[int, ...] | None = None
-    count = 0
-    for size in range(d + 1):
-        for combo in combinations(range(matrix.n), size):
-            acc = 0
-            for idx in combo:
-                acc |= cols[idx]
-            if acc == target:
-                count += 1
-                if first is None:
-                    first = tuple(idx + 1 for idx in combo)
-    if count == 1:
-        assert first is not None
-        return DecodeOutcome(
-            status=DECODED,
-            items=first,
-            consistent_count=1,
-            eliminated_count=0,
-            exhaustive_candidates=matrix.n,
-        )
-    if count > 1:
-        return DecodeOutcome(
-            status=AMBIGUOUS,
-            items=None,
-            consistent_count=count,
-            eliminated_count=0,
-            exhaustive_candidates=matrix.n,
-        )
+    hits = _consistent_sets(matrix, range(1, matrix.n + 1), ans, range(d + 1))
+    first = next(hits, None)
+    count = (first is not None) + sum(1 for _ in hits)
     return DecodeOutcome(
-        status=NO_CONSISTENT_SET,
-        items=None,
-        consistent_count=0,
+        status=DECODED if count == 1 else AMBIGUOUS if count else NO_CONSISTENT_SET,
+        items=first if count == 1 else None,
+        consistent_count=count,
         eliminated_count=0,
         exhaustive_candidates=matrix.n,
     )

@@ -56,7 +56,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DesignSpec, InputError, BudgetExceededError, PROPERTIES, _require_int
+from .core import (
+    DesignSpec, InputError, BudgetExceededError, PROPERTIES, _require_int, _require_open_unit
+)
 
 __all__ = [
     "TermValue",
@@ -87,24 +89,6 @@ __all__ = [
 ]
 
 _E = math.e
-
-
-def _require_prob_open(p, name: str = "p") -> float:
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise InputError(f"{name} must be a real number, got {p!r}")
-    p = float(p)
-    if not 0.0 < p < 1.0 or math.isnan(p):
-        raise InputError(f"{name} must lie strictly inside (0, 1), got {p}")
-    return p
-
-
-def _require_delta(delta) -> float:
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)):
-        raise InputError(f"delta must be a real number, got {delta!r}")
-    delta = float(delta)
-    if not 0.0 < delta < 1.0 or math.isnan(delta):
-        raise InputError(f"delta must lie strictly inside (0, 1), got {delta}")
-    return delta
 
 
 def _neg_log1m(z: float) -> float:
@@ -180,7 +164,7 @@ def optimal_zero_prob(property_name: str, d: int) -> float:
 def disjunct_test_count(n: int, d: int, delta: float) -> int:
     n = _require_int(n, "n", 2)
     d = _require_int(d, "d", 1)
-    delta = _require_delta(delta)
+    delta = _require_open_unit(delta, "delta")
     return math.ceil(disjunct_coefficient(d) * (math.log(n) + math.log(1.0 / delta)))
 
 
@@ -199,7 +183,7 @@ def separable_test_terms(n: int, d: int, delta: float) -> list[float]:
     d = _require_int(d, "d", 1)
     if d < 2:
         raise InputError("d must be >= 2 for separable")
-    delta = _require_delta(delta)
+    delta = _require_open_unit(delta, "delta")
     p = (d - 1.0) / d
     additive = math.log(1.0 / delta) + 2.0 * math.log(d) + d * math.log(2.0)
     terms = []
@@ -220,7 +204,7 @@ def semidisjunct_test_count(n: int, d: int, delta: float) -> int:
     d = _require_int(d, "d", 1)
     if d < 2:
         raise InputError("d must be >= 2 for semidisjunct")
-    delta = _require_delta(delta)
+    delta = _require_open_unit(delta, "delta")
     z = (((d - 1.0) / d) ** d) / d
     numerator = (
         (1.0 - 1.0 / d) * math.log(n)
@@ -285,7 +269,7 @@ def rid_equal_answer_prob(d1: int, d2: int, k: int, p: float) -> float:
         1 - p^d2 - p^d1 + 2 p^(d1 + d2 - k).
     """
     d1, d2, k = _check_pair(d1, d2, k)
-    p = _require_prob_open(p)
+    p = _require_open_unit(p, "p")
     return 1.0 - p**d2 - p**d1 + 2.0 * p ** (d1 + d2 - k)
 
 
@@ -374,7 +358,7 @@ def max_failure_term_bruteforce(
 def _check_rate_args(d: int, w: int, p: float) -> tuple[int, int, float]:
     d = _require_int(d, "d", 1)
     w = _require_int(w, "w", 0, d - 1)
-    return d, w, _require_prob_open(p)
+    return d, w, _require_open_unit(p, "p")
 
 
 def nested_pair_rate(d: int, w: int, p: float) -> float:

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import InputError, TestMatrix, _require_int
+from .core import TestMatrix, _require_int, _require_open_unit
 
 __all__ = ["row_generator", "rid_row", "rrsd_row", "gen_rid", "gen_rrsd"]
 
@@ -67,14 +67,6 @@ def row_generator(seed: int, row_index: int) -> np.random.Generator:
     seed = _require_int(seed, "seed", 0)
     row_index = _require_int(row_index, "row_index", 0)
     return _rng(seed, row_index)
-
-
-def _require_zero_prob(zero_prob) -> float:
-    if isinstance(zero_prob, bool) or not isinstance(zero_prob, (int, float)):
-        raise InputError(f"zero_prob must be a real number, got {zero_prob!r}")
-    if not 0.0 < float(zero_prob) < 1.0:
-        raise InputError(f"zero_prob must lie strictly inside (0, 1), got {zero_prob}")
-    return float(zero_prob)
 
 
 def _digits(zero_prob: float) -> tuple[int, ...]:
@@ -109,7 +101,7 @@ def rid_row(seed: int, row_index: int, n: int, zero_prob: float) -> np.ndarray:
 
     The whole-row form of the stream that ``gen_rid`` draws in blocks.
     """
-    digits = _digits(_require_zero_prob(zero_prob))
+    digits = _digits(_require_open_unit(zero_prob, "zero_prob"))
     bits = row_generator(seed, row_index).bit_generator
     u = _raw_bytes(bits, _require_int(n, "n", 1))
     row = u > digits[0]
@@ -172,7 +164,7 @@ def _check_common(m: int, n: int, seed: int) -> tuple[int, int, int]:
 def gen_rid(m: int, n: int, zero_prob: float, seed: int) -> TestMatrix:
     """m x n matrix with i.i.d. cells, zero with probability ``zero_prob``."""
     m, n, seed = _check_common(m, n, seed)
-    digits = _digits(_require_zero_prob(zero_prob))
+    digits = _digits(_require_open_unit(zero_prob, "zero_prob"))
     z1 = digits[0]
     block_rows = max(1, _BLOCK_CELLS // n) if n <= _CHUNK_CELLS else 1
     width = min(n, _CHUNK_CELLS)

@@ -16,7 +16,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DesignSpec, InputError, PoolTestError, TestMatrix, answer_vector, _require_int
+from .core import (
+    BudgetExceededError, DesignSpec, InputError, PoolTestError, TestMatrix, answer_vector,
+    _require_int,
+)
 from .decode import (
     DECODED,
     decode_disjunct,
@@ -24,7 +27,8 @@ from .decode import (
     decode_separable_bruteforce,
 )
 from .randgen import gen_rid, gen_rrsd
-from .verify import is_semidisjunct, is_separable, non_disjunct_items
+from .verify import check_property
+from .verify import non_disjunct_items  # not called here; perfbench's tracer wraps this name
 
 __all__ = [
     "DEFECT_MODES",
@@ -193,34 +197,21 @@ def property_trial(cfg: TrialConfig, property_name: str, trial: int) -> TrialRes
     matrix, items = trial_instance(cfg, trial)
     start = time.perf_counter()
     try:
-        unwitnessed = non_disjunct_items(matrix, items)
-        if property_name == "disjunct":
-            holds = len(unwitnessed) == 0
-        elif property_name == "separable":
-            holds = is_separable(
-                matrix, items, cfg.design.d,
-                cfg.max_bruteforce_items, cfg.max_bruteforce_defectives,
-            )
-        elif property_name == "semidisjunct":
-            holds = is_semidisjunct(
-                matrix, items, cfg.design.d,
-                cfg.max_bruteforce_items, cfg.max_bruteforce_defectives,
-            ).holds
-        else:
-            raise InputError(f"unknown property {property_name!r}")
-    except PoolTestError as exc:
-        if isinstance(exc, InputError):
-            raise
+        report = check_property(
+            matrix, items, property_name, cfg.design.d,
+            cfg.max_bruteforce_items, cfg.max_bruteforce_defectives,
+        )
+    except BudgetExceededError:
         return TrialResult(
             items=items, success=False, refused=True, residual=None,
             non_disjunct_count=None, seconds=time.perf_counter() - start,
         )
     return TrialResult(
         items=items,
-        success=holds,
+        success=report.holds,
         refused=False,
         residual=None,
-        non_disjunct_count=len(unwitnessed),
+        non_disjunct_count=len(report.non_disjunct_items),
         seconds=time.perf_counter() - start,
     )
 

@@ -8,7 +8,6 @@ empirically. They are not decoders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -16,12 +15,13 @@ import numpy as np
 from .core import (
     BudgetExceededError,
     InputError,
+    PROPERTIES,
     TestMatrix,
     answer_vector,
     validate_items,
     _require_int,
 )
-from .decode import _answers_int, _column_ints, survivor_mask
+from .decode import _consistent_sets, survivor_mask
 
 __all__ = [
     "PropertyReport",
@@ -31,6 +31,7 @@ __all__ = [
     "separability_witness",
     "is_separable",
     "is_semidisjunct",
+    "check_property",
 ]
 
 
@@ -39,17 +40,18 @@ class PropertyReport:
     """Outcome of a property check.
 
     ``witness`` explains a failure: a confusable candidate set for a
-    separability break, or the oversized unwitnessed-item set.
-    ``non_disjunct_items`` always lists the items lacking a clean witness
-    test. ``threshold`` is the unwitnessed-item allowance n^(1/d), compared
-    in real arithmetic.
+    separability break (an empty tuple is the empty set), or the
+    unwitnessed-item set for a disjunct or allowance break. It is None
+    exactly when the property holds. ``non_disjunct_items`` always lists the
+    items lacking a clean witness test. ``threshold`` is the unwitnessed-item
+    allowance n^(1/d) as a float, set only for the semidisjunct property.
     """
 
     property_name: str
     holds: bool
     witness: tuple[int, ...] | None
     non_disjunct_items: tuple[int, ...]
-    threshold: float
+    threshold: float | None
 
 
 def is_disjunct_for_item(matrix: TestMatrix, items: Iterable[int], item: int) -> bool:
@@ -91,19 +93,10 @@ def separability_witness(
             f"got n={matrix.n}, d={d}"
         )
     members = validate_items(items, matrix.n)
-    cols = _column_ints(matrix, range(1, matrix.n + 1))
-    target = _answers_int(answer_vector(matrix, members))
-    for size in range(d + 1):
-        for combo in combinations(range(matrix.n), size):
-            candidate = tuple(idx + 1 for idx in combo)
-            if candidate == members:
-                continue
-            acc = 0
-            for idx in combo:
-                acc |= cols[idx]
-            if acc == target:
-                return candidate
-    return None
+    hits = _consistent_sets(
+        matrix, range(1, matrix.n + 1), answer_vector(matrix, members), range(d + 1)
+    )
+    return next((hit for hit in hits if hit != members), None)
 
 
 def is_separable(
@@ -124,28 +117,35 @@ def is_semidisjunct(
     max_items: int = 40,
     max_defectives: int = 4,
 ) -> PropertyReport:
-    """Separable, with at most n^(1/d) items lacking a witness test.
+    """Separable, with at most n^(1/d) items lacking a witness test."""
+    return check_property(matrix, items, "semidisjunct", d, max_items, max_defectives)
 
-    The unwitnessed-item count is checked first (it is cheap); the
-    separability scan runs only when that passes.
+
+def check_property(
+    matrix: TestMatrix,
+    items: Iterable[int],
+    property_name: str,
+    d: int | None = None,
+    max_items: int = 40,
+    max_defectives: int = 4,
+) -> PropertyReport:
+    """Check ``property_name`` (one of ``PROPERTIES``) of ``matrix`` for ``items``.
+
+    ``d`` is needed for ``separable`` and ``semidisjunct``. The
+    separability scan is capped at ``max_items`` / ``max_defectives``
+    (``BudgetExceededError``). For ``semidisjunct`` the unwitnessed-item
+    count is checked first (it is cheap), and the separability scan runs
+    only when that passes.
     """
-    d = _require_int(d, "d", 1)
+    if property_name not in PROPERTIES:
+        raise InputError(f"unknown property {property_name!r}")
+    threshold = None
+    if property_name == "semidisjunct":
+        threshold = matrix.n ** (1.0 / _require_int(d, "d", 1))
     members = validate_items(items, matrix.n)
-    threshold = matrix.n ** (1.0 / d)
     unwitnessed = non_disjunct_items(matrix, members)
-    if len(unwitnessed) > threshold:
-        return PropertyReport(
-            property_name="semidisjunct",
-            holds=False,
-            witness=unwitnessed,
-            non_disjunct_items=unwitnessed,
-            threshold=threshold,
-        )
-    confusable = separability_witness(matrix, members, d, max_items, max_defectives)
-    return PropertyReport(
-        property_name="semidisjunct",
-        holds=confusable is None,
-        witness=confusable,
-        non_disjunct_items=unwitnessed,
-        threshold=threshold,
-    )
+    if property_name == "disjunct" or (threshold is not None and len(unwitnessed) > threshold):
+        witness = unwitnessed or None
+    else:
+        witness = separability_witness(matrix, members, d, max_items, max_defectives)
+    return PropertyReport(property_name, witness is None, witness, unwitnessed, threshold)

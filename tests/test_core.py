@@ -22,6 +22,7 @@ from pooltest.core import (
     validate_items,
     write_gtm1,
 )
+from pooltest.design import make_design, nested_pair_rate, rid_equal_answer_prob
 from pooltest.randgen import gen_rid, gen_rrsd
 
 
@@ -177,6 +178,43 @@ def test_design_spec_validation():
     with pytest.raises(InputError):
         DesignSpec(n=10, d=11, delta=0.1, model="rid", property_name="disjunct",
                    m=5, zero_prob=0.5)
+
+
+# every entry point that takes a probability or a delta in (0, 1)
+OPEN_UNIT_ENTRY_POINTS = {
+    "make_design delta": lambda v: make_design(100, 2, v, "disjunct"),
+    "DesignSpec delta": lambda v: DesignSpec(
+        n=10, d=2, delta=v, model="rid", property_name="disjunct", m=5, zero_prob=0.5),
+    "DesignSpec zero_prob": lambda v: DesignSpec(
+        n=10, d=2, delta=0.1, model="rid", property_name="disjunct", m=5, zero_prob=v),
+    "gen_rid zero_prob": lambda v: gen_rid(3, 5, v, seed=1),
+    "rid_equal_answer_prob p": lambda v: rid_equal_answer_prob(2, 2, 1, v),
+    "nested_pair_rate p": lambda v: nested_pair_rate(3, 1, v),
+}
+
+
+@pytest.mark.parametrize("entry", OPEN_UNIT_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [0.5, np.float32(0.5), np.float64(0.25)])
+def test_open_unit_values_accepted_everywhere(entry, value):
+    OPEN_UNIT_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", OPEN_UNIT_ENTRY_POINTS)
+@pytest.mark.parametrize("value", ["0.5", True, None, 0.5j, np.int64(0)])
+def test_open_unit_rejects_non_reals_everywhere(entry, value):
+    with pytest.raises(InputError, match="must be a real number"):
+        OPEN_UNIT_ENTRY_POINTS[entry](value)
+
+
+@pytest.mark.parametrize("entry", OPEN_UNIT_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [0, 1, 0.0, 1.0, -0.25, 1.5, float("nan"), np.float32(1.5)])
+def test_open_unit_rejects_values_outside_the_interval_everywhere(entry, value):
+    with pytest.raises(InputError, match=r"must lie strictly inside \(0, 1\)"):
+        OPEN_UNIT_ENTRY_POINTS[entry](value)
+
+
+def test_float32_zero_prob_draws_the_float64_matrix():
+    assert gen_rid(7, 30, np.float32(0.5), seed=4) == gen_rid(7, 30, 0.5, seed=4)
 
 
 # ---------------------------------------------------------------------------

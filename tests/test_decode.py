@@ -1,13 +1,16 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pooltest.core import BudgetExceededError, InputError, TestMatrix, answer_vector
 from pooltest.decode import (
     AMBIGUOUS,
     DECODED,
     NO_CONSISTENT_SET,
+    _consistent_sets,
     decode_disjunct,
     decode_semidisjunct,
     decode_separable_bruteforce,
@@ -208,3 +211,43 @@ def test_exhaustive_work_is_bounded_on_property_instances():
         outcome = decode_semidisjunct(matrix, answer_vector(matrix, items), d)
         pool = outcome.exhaustive_candidates
         assert math.comb(pool, d) <= math.comb(math.ceil(n ** (1 / d)) + d, d)
+
+
+@st.composite
+def scan_instances(draw):
+    """(dense matrix, candidates, answers, sizes) with n <= 12 and sizes in 0..4.
+
+    Columns are drawn from a small pool that holds the empty column, so
+    duplicate and empty columns are common; the answers are those of a
+    random item set, or random bits.
+    """
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    column = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    pool = draw(st.lists(column, min_size=1, max_size=4)) + [[0] * m]
+    columns = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    dense = np.array(columns, dtype=np.uint8).T
+    candidates = draw(st.lists(st.integers(1, n), unique=True).map(sorted))
+    if draw(st.booleans()):
+        chosen = draw(st.lists(st.integers(1, n), unique=True, max_size=4))
+        answers = dense[:, [i - 1 for i in chosen]].any(axis=1).astype(np.uint8)
+    else:
+        answers = np.array(draw(column), dtype=np.uint8)
+    sizes = draw(st.lists(st.integers(0, 4), unique=True, max_size=5))
+    return dense, tuple(candidates), answers, sizes
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_instances())
+def test_consistent_sets_match_a_literal_filter(instance):
+    dense, candidates, answers, sizes = instance
+    matrix = TestMatrix.from_dense(dense)
+
+    def ored(items):
+        return dense[:, [i - 1 for i in items]].any(axis=1)
+
+    expected = [
+        combo for size in sizes for combo in combinations(candidates, size)
+        if np.array_equal(ored(combo), answers.astype(bool))
+    ]
+    assert list(_consistent_sets(matrix, candidates, answers, sizes)) == expected

@@ -8,6 +8,8 @@ from pooltest.decode import DECODED, decode_separable_bruteforce
 from pooltest.design import semidisjunct_test_count
 from pooltest.randgen import gen_rid
 from pooltest.verify import (
+    PropertyReport,
+    check_property,
     is_disjunct,
     is_disjunct_for_item,
     is_semidisjunct,
@@ -133,3 +135,51 @@ def test_planted_unwitnessed_items_break_the_property():
     assert not report.holds
     assert report.witness == planted
     assert report.non_disjunct_items == planted
+
+
+def test_check_property_agrees_with_the_single_checks():
+    rng = np.random.default_rng(12)
+    branches = set()
+    for seed in range(60):
+        n = int(rng.integers(4, 14))
+        m = int(rng.integers(2, 10))
+        d = int(rng.integers(1, 4))
+        matrix = gen_rid(m, n, 0.6, seed=seed)
+        size = int(rng.integers(0, d + 1))
+        items = tuple(sorted(int(i) + 1 for i in rng.choice(n, size=size, replace=False)))
+        unwitnessed = non_disjunct_items(matrix, items)
+        confusable = separability_witness(matrix, items, d)
+        threshold = n ** (1 / d)
+        over = len(unwitnessed) > threshold
+        semi_witness = unwitnessed if over else confusable
+        branches |= {("disjunct", not unwitnessed), ("separable", confusable is None),
+                     ("semi over threshold", over), ("semi", semi_witness is None)}
+
+        assert check_property(matrix, items, "disjunct") == PropertyReport(
+            "disjunct", not unwitnessed, unwitnessed or None, unwitnessed, None)
+        assert check_property(matrix, items, "separable", d) == PropertyReport(
+            "separable", confusable is None, confusable, unwitnessed, None)
+        semi = check_property(matrix, items, "semidisjunct", d)
+        assert semi == PropertyReport(
+            "semidisjunct", semi_witness is None, semi_witness, unwitnessed, threshold)
+        assert semi == is_semidisjunct(matrix, items, d)
+    assert len(branches) == 8  # every outcome of every branch was seen
+
+
+def test_check_property_empty_witness_and_unknown_property():
+    # item 1 is in no test, so the empty set gives I = {1}'s answers
+    matrix = TestMatrix.from_dense([[0, 1, 0], [0, 0, 1]])
+    for name in ("separable", "semidisjunct"):
+        report = check_property(matrix, (1,), name, 1)
+        assert not report.holds and report.witness == ()
+    with pytest.raises(InputError, match="unknown property"):
+        check_property(matrix, (1,), "semi", 1)
+
+
+def test_semidisjunct_at_the_allowance_runs_the_separability_scan():
+    # n = 16, d = 2: exactly n^(1/d) = 4 unwitnessed items are allowed
+    dense = np.eye(16, dtype=np.uint8)
+    dense[:, 1:5] = 0
+    report = check_property(TestMatrix.from_dense(dense), (1,), "semidisjunct", 2)
+    assert report.non_disjunct_items == (2, 3, 4, 5) and report.threshold == 4.0
+    assert report.witness == (1, 2) and not report.holds
