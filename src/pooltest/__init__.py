@@ -47,7 +47,6 @@ from .verify import (
     PropertyReport,
     check_property,
     is_disjunct,
-    is_semidisjunct,
     is_separable,
     non_disjunct_items,
 )

@@ -225,17 +225,12 @@ def _write_text(path: str | None, text: str, out) -> None:
 def _cmd_design(args, out) -> int:
     prop = _normalize_property(args.property)
     spec = design_mod.make_design(args.n, args.d, args.delta, prop, args.model)
-    if prop == "disjunct":
-        coefficient = design_mod.disjunct_coefficient(spec.d)
-    elif prop == "separable":
-        coefficient = design_mod.disjunct_coefficient(spec.d - 1)
-    else:
-        coefficient = design_mod.semidisjunct_coefficient(spec.d)
     _emit(args, {
         "n": spec.n, "d": spec.d, "delta": spec.delta, "property": prop,
         "model": spec.model, "m": spec.m, "zero_prob": spec.zero_prob,
         "one_prob": None if spec.zero_prob is None else 1.0 - spec.zero_prob,
-        "row_weight": spec.row_weight, "log_n_coefficient": coefficient,
+        "row_weight": spec.row_weight,
+        "log_n_coefficient": design_mod.log_n_coefficient(prop, spec.d),
     }, out)
     return 0
 

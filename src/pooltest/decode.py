@@ -24,6 +24,8 @@ from .core import (
 )
 
 __all__ = [
+    "MAX_DESK_ITEMS",
+    "MAX_DESK_DEFECTIVES",
     "DECODED",
     "AMBIGUOUS",
     "NO_CONSISTENT_SET",
@@ -38,6 +40,19 @@ __all__ = [
 DECODED = "decoded"
 AMBIGUOUS = "ambiguous"
 NO_CONSISTENT_SET = "no_consistent_set"
+
+# Desk scale: the exhaustive decoder and the separability check refuse larger
+# instances, whose 0..d subsets of every item are too many to try.
+MAX_DESK_ITEMS = 40
+MAX_DESK_DEFECTIVES = 4
+
+
+def _require_desk_scale(check: str, n: int, d: int) -> None:
+    if n > MAX_DESK_ITEMS or d > MAX_DESK_DEFECTIVES:
+        raise BudgetExceededError(
+            f"{check} is capped at n <= {MAX_DESK_ITEMS}, d <= {MAX_DESK_DEFECTIVES}; "
+            f"got n={n}, d={d}"
+        )
 
 
 @dataclass(frozen=True)
@@ -169,25 +184,15 @@ def decode_semidisjunct(
     )
 
 
-def decode_separable_bruteforce(
-    matrix: TestMatrix,
-    answers,
-    d: int,
-    max_items: int = 40,
-    max_defectives: int = 4,
-) -> DecodeOutcome:
+def decode_separable_bruteforce(matrix: TestMatrix, answers, d: int) -> DecodeOutcome:
     """Reference decoder: try every candidate set of size 0..d.
 
     Returns the unique consistent candidate, ``ambiguous`` with the count
     of consistent candidates when several match, or ``no_consistent_set``.
-    Desk-scale only; refuses beyond ``max_items`` / ``max_defectives``.
+    Desk-scale only; refuses beyond ``MAX_DESK_ITEMS`` / ``MAX_DESK_DEFECTIVES``.
     """
     d = _require_int(d, "d", 0)
-    if matrix.n > max_items or d > max_defectives:
-        raise BudgetExceededError(
-            f"bruteforce decode is capped at n <= {max_items}, d <= {max_defectives}; "
-            f"got n={matrix.n}, d={d}"
-        )
+    _require_desk_scale("bruteforce decode", matrix.n, d)
     ans = validate_answers(matrix, answers)
     hits = _consistent_sets(matrix, range(1, matrix.n + 1), ans, range(d + 1))
     first = next(hits, None)

@@ -67,7 +67,7 @@ __all__ = [
     "disjunct_coefficient",
     "disjunct_coefficient_series",
     "semidisjunct_coefficient",
-    "coefficient_row",
+    "log_n_coefficient",
     "coefficient_table",
     "optimal_zero_prob",
     "disjunct_test_count",
@@ -135,19 +135,26 @@ class CoefficientRow:
     semidisjunct: float
 
 
-def coefficient_row(d: int) -> CoefficientRow:
+def log_n_coefficient(property_name: str, d: int) -> float:
+    """ln-n coefficient of the ``property_name`` test count at d: g(d) for
+    disjunct, g(d-1) for separable, ``semidisjunct_coefficient(d)`` for
+    semidisjunct."""
+    if property_name not in PROPERTIES:
+        raise InputError(f"property must be one of {PROPERTIES}, got {property_name!r}")
+    if property_name == "disjunct":
+        return disjunct_coefficient(d)
     d = _require_int(d, "d", 2)
-    return CoefficientRow(
-        d=d,
-        disjunct=disjunct_coefficient(d),
-        separable=disjunct_coefficient(d - 1),
-        semidisjunct=semidisjunct_coefficient(d),
-    )
+    if property_name == "separable":
+        return disjunct_coefficient(d - 1)
+    return semidisjunct_coefficient(d)
 
 
 def coefficient_table(d_max: int) -> list[CoefficientRow]:
     d_max = _require_int(d_max, "d_max", 2)
-    return [coefficient_row(d) for d in range(2, d_max + 1)]
+    return [
+        CoefficientRow(d, **{prop: log_n_coefficient(prop, d) for prop in PROPERTIES})
+        for d in range(2, d_max + 1)
+    ]
 
 
 def optimal_zero_prob(property_name: str, d: int) -> float:

@@ -31,7 +31,7 @@ reused cell buffer: short rows several at a time, in blocks of about 2^16
 cells, and a wider row in chunks of 2^18 cells. Ties are broken only after
 a row's round 1 is complete, so the bits do not depend on the number of
 workers, the chunk or block size or the order in which rows are filled:
-they equal ``rid_row`` and ``rrsd_row``, packed row by row.
+each row equals the row drawn whole, alone, from its own generator.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .core import TestMatrix, _require_int, _require_open_unit
 
-__all__ = ["row_generator", "rid_row", "rrsd_row", "gen_rid", "gen_rrsd"]
+__all__ = ["gen_rid", "gen_rrsd"]
 
 # Matrices with fewer cells than this are filled on the calling thread.
 _PARALLEL_CELLS = 1 << 22
@@ -56,17 +56,6 @@ _CHUNK_CELLS = 1 << 18
 # about this many cells: one numpy call per block, not per row, and small
 # buffers, which leave little memory behind in the workers' malloc arenas.
 _BLOCK_CELLS = 1 << 16
-
-
-def _rng(seed: int, row_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, row_index]))
-
-
-def row_generator(seed: int, row_index: int) -> np.random.Generator:
-    """Generator for one row, derived from (seed, row_index)."""
-    seed = _require_int(seed, "seed", 0)
-    row_index = _require_int(row_index, "row_index", 0)
-    return _rng(seed, row_index)
 
 
 def _digits(zero_prob: float) -> tuple[int, ...]:
@@ -94,29 +83,6 @@ def _break_ties(bits: np.random.BitGenerator, cells: np.ndarray, tied: np.ndarra
         if not len(tied):
             return
     cells[tied] = True
-
-
-def rid_row(seed: int, row_index: int, n: int, zero_prob: float) -> np.ndarray:
-    """One independent-cell row as a boolean vector; P[cell is 0] = zero_prob.
-
-    The whole-row form of the stream that ``gen_rid`` draws in blocks.
-    """
-    digits = _digits(_require_open_unit(zero_prob, "zero_prob"))
-    bits = row_generator(seed, row_index).bit_generator
-    u = _raw_bytes(bits, _require_int(n, "n", 1))
-    row = u > digits[0]
-    tied = np.flatnonzero(u == digits[0])
-    if len(tied):
-        _break_ties(bits, row, tied, digits)
-    return row
-
-
-def rrsd_row(seed: int, row_index: int, n: int, row_weight: int) -> np.ndarray:
-    """One uniform constant-weight row as a boolean vector."""
-    rng = row_generator(seed, row_index)
-    row = np.zeros(n, dtype=bool)
-    row[rng.choice(n, size=row_weight, replace=False)] = True
-    return row
 
 
 def _worker_count() -> int:
@@ -173,7 +139,7 @@ def gen_rid(m: int, n: int, zero_prob: float, seed: int) -> TestMatrix:
         cells = np.empty((block_rows, n), dtype=bool)
 
         def write(rows, out):
-            # the bit generators of _rng(seed, j), without a Generator around them
+            # the rows' default_rng bit generators, without a Generator around them
             streams = [np.random.PCG64(np.random.SeedSequence([seed, j])) for j in rows]
             block = cells[: len(rows)]
             tied = []
@@ -212,7 +178,7 @@ def gen_rrsd(m: int, n: int, row_weight: int, seed: int) -> TestMatrix:
         cells = np.empty(n, dtype=bool)
 
         def write(rows, out):
-            rng = _rng(seed, rows[0])
+            rng = np.random.default_rng(np.random.SeedSequence([seed, rows[0]]))
             cells.fill(False)
             cells[rng.choice(n, size=row_weight, replace=False)] = True
             out[0] = np.packbits(cells)

@@ -53,8 +53,7 @@ class TrialConfig:
 
     ``defect_mode`` draws the true defective set: ``exactly_d`` always uses
     size d; ``at_most_d`` draws a uniform size in 0..d, then a uniform set
-    of that size. ``explicit_matrix`` short-circuits generation and reuses
-    the given matrix in every trial (its n must match the design).
+    of that size. Every trial draws its own matrix from the design.
     """
 
     design: DesignSpec
@@ -62,10 +61,6 @@ class TrialConfig:
     master_seed: int
     decoder: str = "semidisjunct"
     defect_mode: str = "exactly_d"
-    explicit_matrix: TestMatrix | None = None
-    max_subset_tests: int = 10**8
-    max_bruteforce_items: int = 40
-    max_bruteforce_defectives: int = 4
 
     def __post_init__(self):
         _require_int(self.trials, "trials", 1)
@@ -76,8 +71,6 @@ class TrialConfig:
             raise InputError(
                 f"defect_mode must be one of {DEFECT_MODES}, got {self.defect_mode!r}"
             )
-        if self.explicit_matrix is not None and self.explicit_matrix.n != self.design.n:
-            raise InputError("explicit_matrix.n must equal design.n")
 
 
 @dataclass(frozen=True)
@@ -111,17 +104,21 @@ class SimulationReport:
             raise InputError("successes + failures + refusals must equal trials")
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+# two-sided 95% standard normal quantile
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     successes = _require_int(successes, "successes", 0)
     trials = _require_int(trials, "trials", 1, None)
     if successes > trials:
         raise InputError("successes must be <= trials")
     phat = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
-    half = z * sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _Z95 * sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -144,8 +141,6 @@ def trial_instance(cfg: TrialConfig, trial: int) -> tuple[TestMatrix, tuple[int,
         size = int(rng.integers(0, design.d + 1))
     items = tuple(sorted(int(i) + 1 for i in rng.choice(design.n, size=size, replace=False)))
 
-    if cfg.explicit_matrix is not None:
-        return cfg.explicit_matrix, items
     seed = _matrix_seed(cfg.master_seed, trial)
     if design.model == "rid":
         matrix = gen_rid(design.m, design.n, design.zero_prob, seed)
@@ -158,10 +153,8 @@ def _decode(cfg: TrialConfig, matrix: TestMatrix, answers):
     if cfg.decoder == "disjunct":
         return decode_disjunct(matrix, answers)
     if cfg.decoder == "semidisjunct":
-        return decode_semidisjunct(matrix, answers, cfg.design.d, cfg.max_subset_tests)
-    return decode_separable_bruteforce(
-        matrix, answers, cfg.design.d, cfg.max_bruteforce_items, cfg.max_bruteforce_defectives
-    )
+        return decode_semidisjunct(matrix, answers, cfg.design.d)
+    return decode_separable_bruteforce(matrix, answers, cfg.design.d)
 
 
 def run_single_trial(cfg: TrialConfig, trial: int) -> TrialResult:
@@ -197,10 +190,7 @@ def property_trial(cfg: TrialConfig, property_name: str, trial: int) -> TrialRes
     matrix, items = trial_instance(cfg, trial)
     start = time.perf_counter()
     try:
-        report = check_property(
-            matrix, items, property_name, cfg.design.d,
-            cfg.max_bruteforce_items, cfg.max_bruteforce_defectives,
-        )
+        report = check_property(matrix, items, property_name, cfg.design.d)
     except BudgetExceededError:
         return TrialResult(
             items=items, success=False, refused=True, residual=None,

@@ -12,7 +12,7 @@ from pooltest import cli, core
 from pooltest.cli import format_answer_line, parse_answer_file
 from pooltest.core import ParseError, answer_vector, dumps_gtm1, read_gtm1
 from pooltest.randgen import gen_rid
-from pooltest.verify import is_semidisjunct
+from pooltest.verify import check_property
 
 
 def run_cli(*args, env_extra=None):
@@ -87,7 +87,7 @@ def test_generate_answer_decode_pipeline(tmp_path):
     assert res.returncode == 0
     matrix = read_gtm1(mfile)
     # verifier-accepted instance (seed 5 was checked to satisfy the property)
-    assert is_semidisjunct(matrix, (3, 9), 2).holds
+    assert check_property(matrix, (3, 9), "semidisjunct", 2).holds
     res = run_cli("verify", "--matrix", str(mfile), "--items", "3 9",
                   "--property", "semi", "--d", "2", "--format", "json")
     assert json.loads(res.stdout)["holds"] is True

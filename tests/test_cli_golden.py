@@ -43,6 +43,9 @@ SETUP = [
      "--out", "rid.gtm1"],
     ["generate", "--model", "rrsd", "--n", "30", "--m", "20", "--row-weight", "10",
      "--seed", "12", "--out", "rrsd.gtm1"],
+    # 50 items: over the desk cap of the exhaustive checks
+    ["generate", "--n", "50", "--m", "10", "--zero-prob", "0.5", "--seed", "13",
+     "--out", "wide.gtm1"],
 ]
 
 
@@ -65,6 +68,8 @@ def _commands() -> list[list[str]]:
             for fmt in ("csv", "json"):
                 commands.append(["verify", "--matrix", matrix, "--items", items,
                                  "--property", prop, "--d", d, "--format", fmt])
+    commands.append(["verify", "--matrix", "wide.gtm1", "--items", "3 17",
+                     "--property", "separable", "--d", "2"])
     decodes = [
         # disjunct: elimination only, always decoded
         ["--matrix", "dup.gtm1", "--answers", "a10.txt", "--decoder", "disjunct"],
@@ -94,6 +99,8 @@ def _commands() -> list[list[str]]:
         ["--n", "300", "--d", "3", "--property", "semi", "--decoder", "disjunct"],
         ["--n", "300", "--d", "3", "--property", "semi", "--defect-mode", "atmost"],
         ["--n", "300", "--d", "3", "--property", "semi", "--model", "rrsd"],
+        # every trial's matrix is over the brute-force cap: all refusals
+        ["--n", "50", "--d", "2", "--property", "separable", "--decoder", "bruteforce"],
     ]
     for args in simulations:
         for fmt in ("csv", "json"):

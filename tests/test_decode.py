@@ -18,7 +18,7 @@ from pooltest.decode import (
 )
 from pooltest.design import disjunct_test_count, semidisjunct_test_count
 from pooltest.randgen import gen_rid
-from pooltest.verify import is_disjunct, is_semidisjunct
+from pooltest.verify import check_property, is_disjunct
 
 
 def naive_eliminate(matrix, answers):
@@ -105,7 +105,7 @@ def test_decode_semidisjunct_verified_full_size_set():
     for seed in range(10):
         matrix = gen_rid(m, n, 0.5, seed=seed)
         items = (7, 19)
-        if not is_semidisjunct(matrix, items, d).holds:
+        if not check_property(matrix, items, "semidisjunct", d).holds:
             continue
         hits += 1
         outcome = decode_semidisjunct(matrix, answer_vector(matrix, items), d)
@@ -206,7 +206,7 @@ def test_exhaustive_work_is_bounded_on_property_instances():
     for seed in range(6):
         matrix = gen_rid(m, n, 0.5, seed=seed)
         items = (4, 18)
-        if not is_semidisjunct(matrix, items, d).holds:
+        if not check_property(matrix, items, "semidisjunct", d).holds:
             continue
         outcome = decode_semidisjunct(matrix, answer_vector(matrix, items), d)
         pool = outcome.exhaustive_candidates

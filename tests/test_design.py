@@ -4,7 +4,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from pooltest.core import BudgetExceededError, InputError
+from pooltest.core import PROPERTIES, BudgetExceededError, InputError
 from pooltest.design import (
     coefficient_table,
     disjunct_coefficient,
@@ -12,6 +12,7 @@ from pooltest.design import (
     disjunct_test_count,
     equal_pair_rate,
     equal_pair_rate_minimizer,
+    log_n_coefficient,
     make_design,
     max_failure_term,
     max_failure_term_bruteforce,
@@ -422,6 +423,22 @@ def test_coefficient_table_monotone():
         assert a.disjunct < b.disjunct
         assert a.separable < b.separable
         assert a.semidisjunct < b.semidisjunct
+
+
+def test_log_n_coefficient_maps_each_property():
+    assert log_n_coefficient("disjunct", 1) == disjunct_coefficient(1)  # design --d 1
+    for row in coefficient_table(5):
+        d = row.d
+        expected = (
+            disjunct_coefficient(d), disjunct_coefficient(d - 1), semidisjunct_coefficient(d)
+        )
+        assert tuple(log_n_coefficient(prop, d) for prop in PROPERTIES) == expected
+        assert (row.disjunct, row.separable, row.semidisjunct) == expected
+    for prop in ("separable", "semidisjunct"):
+        with pytest.raises(InputError, match="d must be >= 2"):
+            log_n_coefficient(prop, 1)
+    with pytest.raises(InputError, match="property must be one of"):
+        log_n_coefficient("semi", 3)
 
 
 def test_equal_rate_exceeds_nested_bound_at_d2_w0():

@@ -10,7 +10,33 @@ import pytest
 from pooltest import randgen
 from pooltest.core import InputError, dumps_gtm1
 from pooltest.design import optimal_zero_prob
-from pooltest.randgen import gen_rid, gen_rrsd, rid_row, rrsd_row
+from pooltest.randgen import gen_rid, gen_rrsd
+
+
+# Row-by-row references: one row drawn whole, alone, from its own generator,
+# which the blocked, chunked and threaded filler must reproduce bit for bit.
+
+def _row_rng(seed, row_index):
+    return np.random.default_rng(np.random.SeedSequence([seed, row_index]))
+
+
+def rid_row(seed, row_index, n, zero_prob):
+    """One independent-cell row as a boolean vector; P[cell is 0] = zero_prob."""
+    digits = randgen._digits(zero_prob)
+    bits = _row_rng(seed, row_index).bit_generator
+    u = randgen._raw_bytes(bits, n)
+    row = u > digits[0]
+    tied = np.flatnonzero(u == digits[0])
+    if len(tied):
+        randgen._break_ties(bits, row, tied, digits)
+    return row
+
+
+def rrsd_row(seed, row_index, n, row_weight):
+    """One uniform constant-weight row as a boolean vector."""
+    row = np.zeros(n, dtype=bool)
+    row[_row_rng(seed, row_index).choice(n, size=row_weight, replace=False)] = True
+    return row
 
 
 def test_rid_determinism():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pooltest.core import DesignSpec, InputError, TestMatrix
+from pooltest.core import InputError
 from pooltest.design import disjunct_test_count, make_design
 from pooltest.simulate import (
     TrialConfig,
@@ -39,16 +39,6 @@ def test_trials_are_order_insensitive():
     shuffled = [run_single_trial(cfg, t) for t in np.random.default_rng(0).permutation(25)]
     assert sum(r.success for r in shuffled) == report.successes
     assert sum(r.refused for r in shuffled) == report.refusals
-
-
-def test_explicit_identity_matrix_always_succeeds():
-    spec = DesignSpec(n=3, d=3, delta=0.5, model="rid", property_name="disjunct",
-                      m=3, zero_prob=0.5)
-    cfg = TrialConfig(design=spec, trials=5, master_seed=3,
-                      decoder="disjunct", explicit_matrix=TestMatrix.identity(3))
-    report = run_trials(cfg)
-    assert report.success_rate == 1.0
-    assert report.successes == 5
 
 
 def test_defect_mode_sizes():
@@ -109,9 +99,6 @@ def test_config_validation():
         TrialConfig(design=spec, trials=0, master_seed=1)
     with pytest.raises(InputError):
         TrialConfig(design=spec, trials=5, master_seed=1, decoder="magic")
-    with pytest.raises(InputError):
-        TrialConfig(design=spec, trials=5, master_seed=1,
-                    explicit_matrix=TestMatrix.identity(3))
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from pooltest.core import BudgetExceededError, InputError, TestMatrix, answer_vector
-from pooltest.decode import DECODED, decode_separable_bruteforce
+from pooltest.decode import DECODED, MAX_DESK_ITEMS, decode_separable_bruteforce
 from pooltest.design import semidisjunct_test_count
 from pooltest.randgen import gen_rid
 from pooltest.verify import (
     PropertyReport,
     check_property,
     is_disjunct,
-    is_disjunct_for_item,
-    is_semidisjunct,
     is_separable,
     non_disjunct_items,
     separability_witness,
@@ -26,29 +24,13 @@ def naive_item_witness(matrix, items, item):
     return False
 
 
-def test_item_witness_identity():
-    assert is_disjunct_for_item(TestMatrix.identity(3), (1,), 2)
-
-
-def test_item_witness_all_ones():
-    matrix = TestMatrix.from_dense(np.ones((4, 5), dtype=np.uint8))
-    assert not is_disjunct_for_item(matrix, (1,), 2)
-
-
-def test_item_witness_matches_naive_scan():
+def test_non_disjunct_items_match_naive_scan():
     matrix = gen_rid(15, 12, 0.5, seed=40)
     items = (2, 9)
-    for item in range(1, 13):
-        if item in items:
-            continue
-        assert is_disjunct_for_item(matrix, items, item) == naive_item_witness(
-            matrix, items, item
-        )
-
-
-def test_item_witness_rejects_member():
-    with pytest.raises(InputError):
-        is_disjunct_for_item(TestMatrix.identity(3), (1,), 1)
+    expected = tuple(item for item in range(1, 13)
+                     if item not in items and not naive_item_witness(matrix, items, item))
+    assert 0 < len(expected) < 10
+    assert non_disjunct_items(matrix, items) == expected
 
 
 def test_non_disjunct_items_examples():
@@ -104,7 +86,7 @@ def test_separable_budget_refusal():
 
 
 def test_semidisjunct_identity_holds():
-    report = is_semidisjunct(TestMatrix.identity(6), (2, 5), 2)
+    report = check_property(TestMatrix.identity(6), (2, 5), "semidisjunct", 2)
     assert report.holds
     assert report.witness is None
     assert report.non_disjunct_items == ()
@@ -118,23 +100,7 @@ def test_disjunct_implies_separable_and_semidisjunct():
         if not is_disjunct(matrix, items):
             continue
         assert is_separable(matrix, items, 2)
-        assert is_semidisjunct(matrix, items, 2).holds
-
-
-def test_planted_unwitnessed_items_break_the_property():
-    # zeroed columns have no witnessing test at all; plant one more than
-    # the n^(1/d) allowance
-    n, d = 16, 2
-    allowance = math.ceil(n ** (1 / d))
-    dense = np.eye(n, dtype=np.uint8)
-    planted = tuple(range(2, 2 + allowance + 1))
-    for item in planted:
-        dense[:, item - 1] = 0
-    matrix = TestMatrix.from_dense(dense)
-    report = is_semidisjunct(matrix, (1,), d)
-    assert not report.holds
-    assert report.witness == planted
-    assert report.non_disjunct_items == planted
+        assert check_property(matrix, items, "semidisjunct", 2).holds
 
 
 def test_check_property_agrees_with_the_single_checks():
@@ -150,7 +116,7 @@ def test_check_property_agrees_with_the_single_checks():
         unwitnessed = non_disjunct_items(matrix, items)
         confusable = separability_witness(matrix, items, d)
         threshold = n ** (1 / d)
-        over = len(unwitnessed) > threshold
+        over = len(unwitnessed) ** d > n
         semi_witness = unwitnessed if over else confusable
         branches |= {("disjunct", not unwitnessed), ("separable", confusable is None),
                      ("semi over threshold", over), ("semi", semi_witness is None)}
@@ -162,7 +128,6 @@ def test_check_property_agrees_with_the_single_checks():
         semi = check_property(matrix, items, "semidisjunct", d)
         assert semi == PropertyReport(
             "semidisjunct", semi_witness is None, semi_witness, unwitnessed, threshold)
-        assert semi == is_semidisjunct(matrix, items, d)
     assert len(branches) == 8  # every outcome of every branch was seen
 
 
@@ -176,10 +141,22 @@ def test_check_property_empty_witness_and_unknown_property():
         check_property(matrix, (1,), "semi", 1)
 
 
-def test_semidisjunct_at_the_allowance_runs_the_separability_scan():
-    # n = 16, d = 2: exactly n^(1/d) = 4 unwitnessed items are allowed
-    dense = np.eye(16, dtype=np.uint8)
-    dense[:, 1:5] = 0
-    report = check_property(TestMatrix.from_dense(dense), (1,), "semidisjunct", 2)
-    assert report.non_disjunct_items == (2, 3, 4, 5) and report.threshold == 4.0
-    assert report.witness == (1, 2) and not report.holds
+@pytest.mark.parametrize("n, d, root", [(16, 2, 4), (64, 3, 4), (125, 3, 5), (1000, 3, 10)])
+def test_semidisjunct_allows_exactly_root_unwitnessed_items(n, d, root):
+    # root = n^(1/d) exactly, though 64 ** (1/3) is 3.9999999999999996 in floating point
+    def check(unwitnessed):
+        dense = np.eye(n, dtype=np.uint8)
+        dense[:, 1 : 1 + unwitnessed] = 0  # items 2, 3, ... are in no test
+        return check_property(TestMatrix.from_dense(dense), (1,), "semidisjunct", d)
+
+    over = check(root + 1)
+    assert not over.holds and over.threshold == n ** (1 / d)
+    assert over.witness == over.non_disjunct_items == tuple(range(2, root + 3))
+    # at the allowance the separability scan runs, or refuses over the desk cap
+    if n > MAX_DESK_ITEMS:
+        with pytest.raises(BudgetExceededError, match="separability check is capped"):
+            check(root)
+    else:
+        at = check(root)
+        assert at.non_disjunct_items == tuple(range(2, root + 2))
+        assert at.witness == (1, 2) and not at.holds  # {1, 2} answers like {1}
