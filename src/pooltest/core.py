@@ -205,12 +205,6 @@ class TestMatrix:
         i = item - 1
         return (int(self.bits[row, i >> 3]) >> (7 - (i & 7))) & 1
 
-    def column_bits(self, item: int) -> np.ndarray:
-        """Column of 1-based ``item`` as a length-m uint8 vector."""
-        _require_int(item, "item", 1, self.n)
-        i = item - 1
-        return (self.bits[:, i >> 3] >> (7 - (i & 7))) & 1
-
     def row_items(self, row: int) -> tuple[int, ...]:
         """1-based items pooled in 0-based test ``row``."""
         _require_int(row, "row", 0, self.m - 1)

@@ -4,14 +4,17 @@ an exhaustive reference decoder.
 Elimination removes every item that appears in a negative test; it touches
 each matrix byte at most once (a single OR-reduction over the negative
 rows), so it runs in time linear in the bit-size of the matrix. The
-exhaustive phases compare candidate answer vectors as packed integers.
+exhaustive phases share one subset scan, which packs the candidates' columns
+into 64-bit words and compares the ORs of whole blocks of candidate sets
+with the answers in single numpy operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -47,8 +50,12 @@ MAX_DESK_ITEMS = 40
 MAX_DESK_DEFECTIVES = 4
 
 
+def _over_desk_scale(n: int, d: int) -> bool:
+    return n > MAX_DESK_ITEMS or d > MAX_DESK_DEFECTIVES
+
+
 def _require_desk_scale(check: str, n: int, d: int) -> None:
-    if n > MAX_DESK_ITEMS or d > MAX_DESK_DEFECTIVES:
+    if _over_desk_scale(n, d):
         raise BudgetExceededError(
             f"{check} is capped at n <= {MAX_DESK_ITEMS}, d <= {MAX_DESK_DEFECTIVES}; "
             f"got n={n}, d={d}"
@@ -109,27 +116,84 @@ def decode_disjunct(matrix: TestMatrix, answers) -> DecodeOutcome:
     )
 
 
+# The bit of item i + 1 in byte i // 8 of a matrix row, by i % 8.
+_BIT = np.array([0x80 >> b for b in range(8)], np.uint8)
+
+# Rows of the largest tail table: one vector compare covers at most this
+# many candidate sets.
+_TAIL_ROWS = 1 << 14
+
+
+@lru_cache(maxsize=8)
+def _tail_table(r: int, limit: int) -> np.ndarray:
+    """Every r-subset of range(t), t the largest with C(t, r) <= ``limit`` (0 for r = 0).
+
+    Column c of the (r, C(t, r)) result is the c-th subset in lexicographic
+    order, each index i stored as t - 1 - i. Stored that way, the last
+    C(s, r) columns are the r-subsets of range(s) in the same order, for
+    every s <= t, so one table serves every candidate count.
+    """
+    t = r
+    while r and math.comb(t + 1, r) <= limit:
+        t += 1
+    count = math.comb(t, r)
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(t - 1, -1, -1), r)), np.min_scalar_type(t), count * r
+    )
+    return flat.reshape(count, r).T.copy()
+
+
 def _consistent_sets(
     matrix: TestMatrix, candidates: Sequence[int], answers: np.ndarray, sizes: Iterable[int]
 ) -> Iterator[tuple[int, ...]]:
     """Sets of ``candidates`` whose columns OR to exactly ``answers``.
 
     Yields 1-based tuples by size, in the order of ``sizes``, then in
-    lexicographic order. Columns and answers are compared as m-bit
-    integers, row 0 most significant.
-    """
-    def packed(bits: np.ndarray) -> int:
-        return int.from_bytes(np.packbits(bits).tobytes(), "big")
+    lexicographic order of positions in ``candidates``. The scan is lazy: a
+    caller that stops at a hit computes no later size.
 
-    target = packed(answers)
-    cols = [packed(matrix.column_bits(item)) for item in candidates]
+    A candidate with a 1 on a negative row is in no consistent set, so it is
+    dropped; the hits left keep their order. The kept columns are packed
+    over the positive rows into ``uint64`` words, and a set is consistent
+    when its columns OR to the OR of all of them, which must cover every
+    positive row. A set of size k is a prefix of k - r picks followed by a
+    tail of r picks, r as large as keeps C(s, r) <= ``_TAIL_ROWS`` for the
+    s kept candidates. The ORs of all tails are taken once per size; each
+    prefix is then one vector compare over the tails after its last pick.
+    """
+    # candidates in reverse order, the tail tables' index order
+    items = np.asarray(candidates, dtype=np.intp)[::-1] - 1
+    cells = matrix.bits.take(items >> 3, axis=1) & _BIT[items & 7]
+    positive = answers != 0
+    kept = ~cells.compress(~positive, axis=0).any(axis=0)
+    cells = cells.compress(positive, axis=0).compress(kept, axis=1)
+    if not cells.any(axis=1).all():
+        return  # a positive row that no kept column covers
+    reversed_items = (items[kept] + 1).tolist()
+    s = len(reversed_items)
+    words = max(1, -(-len(cells) // 64))
+    packed = np.zeros((8 * words, s), np.uint8)
+    packed[: -(-len(cells) // 8)] = np.packbits(cells, axis=0)
+    # word w of kept column j (reversed order) at [w, j]
+    columns = packed.reshape(words, 8, s).transpose(0, 2, 1).copy().view(np.uint64)[..., 0]
+    target = np.bitwise_or.reduce(columns, axis=1, keepdims=True)
     for size in sizes:
-        for combo in combinations(range(len(cols)), size):
-            acc = 0
-            for idx in combo:
-                acc |= cols[idx]
-            if acc == target:
-                yield tuple(candidates[idx] for idx in combo)
+        if size > s:
+            continue
+        r = size
+        while math.comb(s, r) > _TAIL_ROWS:
+            r -= 1
+        count = math.comb(s, r)
+        tails = _tail_table(r, _TAIL_ROWS)[:, -count:]
+        ors = np.zeros((words, count), np.uint64)
+        for picks in tails:
+            ors |= columns.take(picks, axis=1)
+        for prefix in combinations(range(s - 1, r - 1, -1), size - r):
+            start = count - math.comb(prefix[-1], r) if prefix else 0
+            head = np.bitwise_or.reduce(columns.take(prefix, axis=1), axis=1, keepdims=True)
+            hits = ((ors[:, start:] | head) == target).all(axis=0)
+            for row in np.flatnonzero(hits).tolist():
+                yield tuple(reversed_items[j] for j in prefix + tuple(tails[:, start + row].tolist()))
 
 
 def decode_semidisjunct(

@@ -22,6 +22,7 @@ from .core import (
 )
 from .decode import (
     DECODED,
+    _over_desk_scale,
     decode_disjunct,
     decode_semidisjunct,
     decode_separable_bruteforce,
@@ -119,7 +120,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
     half = _Z95 * sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # at 0 and at trials successes the formula's endpoint is exactly 0 or 1,
+    # which center -/+ half misses by a rounding error
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return low, high
 
 
 def _matrix_seed(master_seed: int, trial: int) -> int:
@@ -130,8 +135,8 @@ def _defect_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial, 1]))
 
 
-def trial_instance(cfg: TrialConfig, trial: int) -> tuple[TestMatrix, tuple[int, ...]]:
-    """The (matrix, defective set) pair of one trial; pure in (cfg, trial)."""
+def _trial_items(cfg: TrialConfig, trial: int) -> tuple[int, ...]:
+    """The defective set of one trial, drawn apart from its matrix."""
     _require_int(trial, "trial", 0)
     design = cfg.design
     rng = _defect_rng(cfg.master_seed, trial)
@@ -139,8 +144,13 @@ def trial_instance(cfg: TrialConfig, trial: int) -> tuple[TestMatrix, tuple[int,
         size = design.d
     else:
         size = int(rng.integers(0, design.d + 1))
-    items = tuple(sorted(int(i) + 1 for i in rng.choice(design.n, size=size, replace=False)))
+    return tuple(sorted(int(i) + 1 for i in rng.choice(design.n, size=size, replace=False)))
 
+
+def trial_instance(cfg: TrialConfig, trial: int) -> tuple[TestMatrix, tuple[int, ...]]:
+    """The (matrix, defective set) pair of one trial; pure in (cfg, trial)."""
+    items = _trial_items(cfg, trial)
+    design = cfg.design
     seed = _matrix_seed(cfg.master_seed, trial)
     if design.model == "rid":
         matrix = gen_rid(design.m, design.n, design.zero_prob, seed)
@@ -157,18 +167,28 @@ def _decode(cfg: TrialConfig, matrix: TestMatrix, answers):
     return decode_separable_bruteforce(matrix, answers, cfg.design.d)
 
 
+def _refusal(items: tuple[int, ...], start: float) -> TrialResult:
+    return TrialResult(
+        items=items, success=False, refused=True, residual=None,
+        non_disjunct_count=None, seconds=time.perf_counter() - start,
+    )
+
+
 def run_single_trial(cfg: TrialConfig, trial: int) -> TrialResult:
-    """Draw, answer, decode one trial. Success means exact set recovery."""
+    """Draw, answer, decode one trial. Success means exact set recovery.
+
+    The exhaustive decoder refuses a design over its desk cap on (n, d)
+    alone, so such a trial is refused before its matrix is drawn.
+    """
+    if cfg.decoder == "bruteforce" and _over_desk_scale(cfg.design.n, cfg.design.d):
+        return _refusal(_trial_items(cfg, trial), time.perf_counter())
     matrix, items = trial_instance(cfg, trial)
     answers = answer_vector(matrix, items)
     start = time.perf_counter()
     try:
         outcome = _decode(cfg, matrix, answers)
     except PoolTestError:
-        return TrialResult(
-            items=items, success=False, refused=True, residual=None,
-            non_disjunct_count=None, seconds=time.perf_counter() - start,
-        )
+        return _refusal(items, start)
     seconds = time.perf_counter() - start
     success = outcome.status == DECODED and outcome.items == items
     return TrialResult(
@@ -185,17 +205,18 @@ def property_trial(cfg: TrialConfig, property_name: str, trial: int) -> TrialRes
     """Check one trial's matrix for a property instead of decoding.
 
     Uses the identical instance derivation as ``run_single_trial``, so
-    property rates for different properties are matched pair by pair.
+    property rates for different properties are matched pair by pair. The
+    separability check, like the exhaustive decoder, refuses on (n, d)
+    before the matrix is drawn.
     """
+    if property_name == "separable" and _over_desk_scale(cfg.design.n, cfg.design.d):
+        return _refusal(_trial_items(cfg, trial), time.perf_counter())
     matrix, items = trial_instance(cfg, trial)
     start = time.perf_counter()
     try:
         report = check_property(matrix, items, property_name, cfg.design.d)
     except BudgetExceededError:
-        return TrialResult(
-            items=items, success=False, refused=True, residual=None,
-            non_disjunct_count=None, seconds=time.perf_counter() - start,
-        )
+        return _refusal(items, start)
     return TrialResult(
         items=items,
         success=report.holds,

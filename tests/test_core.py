@@ -100,7 +100,6 @@ def test_from_dense_and_accessors():
     assert m.get(0, 1) == 1 and m.get(0, 2) == 0
     assert m.row_items(1) == (2, 3)
     assert m.row_weights().tolist() == [2, 2]
-    assert m.column_bits(3).tolist() == [1, 1]
 
 
 def test_matrix_equality():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pooltest import decode
 from pooltest.core import BudgetExceededError, InputError, TestMatrix, answer_vector
 from pooltest.decode import (
     AMBIGUOUS,
@@ -215,26 +216,50 @@ def test_exhaustive_work_is_bounded_on_property_instances():
 
 @st.composite
 def scan_instances(draw):
-    """(dense matrix, candidates, answers, sizes) with n <= 12 and sizes in 0..4.
+    """(dense matrix, candidates, answers, sizes) with m <= 130, n <= 12, sizes in 0..4.
 
-    Columns are drawn from a small pool that holds the empty column, so
-    duplicate and empty columns are common; the answers are those of a
-    random item set, or random bits.
+    m up to 130 packs the positive rows into one to three 64-bit words; m is
+    often drawn next to a multiple of 64, and is rarely one. Columns come
+    from a small pool of random columns of a drawn density, which holds the
+    empty column, so duplicate and empty columns are common. The answers
+    are those of a random item set, that set's answers with random bits
+    added, random bits or all ones, so that often no set explains them and
+    many candidates have a 1 outside them. Candidates come in any order, and
+    sizes in any order.
     """
-    m = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 130) | st.sampled_from((63, 64, 65, 127, 128, 129, 130)))
     n = draw(st.integers(1, 12))
-    column = st.lists(st.integers(0, 1), min_size=m, max_size=m)
-    pool = draw(st.lists(column, min_size=1, max_size=4)) + [[0] * m]
-    columns = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    dense = np.array(columns, dtype=np.uint8).T
-    candidates = draw(st.lists(st.integers(1, n), unique=True).map(sorted))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.05, 0.2, 0.5, 0.9)))
+    pool = [*(rng.random((draw(st.integers(1, 5)), m)) < density), np.zeros(m, bool)]
+    columns = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    dense = np.array([pool[c] for c in columns], dtype=np.uint8).T
+    chosen = draw(st.lists(st.integers(1, n), unique=True, max_size=4))
+    candidates = draw(st.lists(st.integers(1, n), unique=True))
     if draw(st.booleans()):
-        chosen = draw(st.lists(st.integers(1, n), unique=True, max_size=4))
-        answers = dense[:, [i - 1 for i in chosen]].any(axis=1).astype(np.uint8)
-    else:
-        answers = np.array(draw(column), dtype=np.uint8)
-    sizes = draw(st.lists(st.integers(0, 4), unique=True, max_size=5))
-    return dense, tuple(candidates), answers, sizes
+        candidates = list(dict.fromkeys(chosen + candidates))
+    answers = dense[:, [i - 1 for i in chosen]].any(axis=1)
+    kind = draw(st.sampled_from(("set", "set plus noise", "random", "all positive")))
+    if kind != "set":
+        noise = rng.random(m) < (1.0 if kind == "all positive" else 0.5)
+        answers = answers | noise if kind == "set plus noise" else noise
+    sizes = draw(st.permutations(range(5)))[: draw(st.integers(0, 5))]
+    return dense, tuple(candidates), answers.astype(np.uint8), sizes
+
+
+def literal_filter(dense, candidates, answers, sizes):
+    """Every combination of ``candidates`` by size, kept when its columns OR to ``answers``."""
+    columns = [int("".join(map(str, dense[:, i - 1])), 2) for i in candidates]
+    target = int("".join(map(str, answers)), 2)
+    hits = []
+    for size in sizes:
+        for combo in combinations(range(len(candidates)), size):
+            acc = 0
+            for idx in combo:
+                acc |= columns[idx]
+            if acc == target:
+                hits.append(tuple(candidates[idx] for idx in combo))
+    return hits
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,12 +267,39 @@ def scan_instances(draw):
 def test_consistent_sets_match_a_literal_filter(instance):
     dense, candidates, answers, sizes = instance
     matrix = TestMatrix.from_dense(dense)
-
-    def ored(items):
-        return dense[:, [i - 1 for i in items]].any(axis=1)
-
-    expected = [
-        combo for size in sizes for combo in combinations(candidates, size)
-        if np.array_equal(ored(combo), answers.astype(bool))
-    ]
+    expected = literal_filter(dense, candidates, answers, sizes)
     assert list(_consistent_sets(matrix, candidates, answers, sizes)) == expected
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 7, 40])
+def test_consistent_sets_split_into_prefix_and_tail(rows, monkeypatch):
+    # a lowered row cap sends every size past it through the prefix loop
+    monkeypatch.setattr(decode, "_TAIL_ROWS", rows)
+    rng = np.random.default_rng(rows)
+    for _ in range(40):
+        m, n = int(rng.integers(1, 140)), int(rng.integers(1, 15))
+        dense = (rng.random((m, n)) < rng.choice([0.1, 0.3, 0.6])).astype(np.uint8)
+        dense[:, rng.random(n) < 0.2] = 0
+        candidates = tuple(int(i) + 1 for i in rng.permutation(n)[: int(rng.integers(0, n + 1))])
+        planted = rng.choice(n, size=int(rng.integers(0, min(n, 4) + 1)), replace=False)
+        answers = dense[:, planted].any(axis=1).astype(np.uint8)
+        if rng.random() < 0.25:
+            answers[:] = 1  # up to three words of positive rows
+        sizes = [int(k) for k in rng.permutation(5)]
+        matrix = TestMatrix.from_dense(dense)
+        expected = literal_filter(dense, candidates, answers, sizes)
+        assert list(_consistent_sets(matrix, candidates, answers, sizes)) == expected
+
+
+def test_consistent_sets_over_fifty_candidates_of_size_four():
+    # every test is positive, so no candidate is dropped, and C(50, 4) is
+    # past the real row cap: size 4 runs through the prefix loop
+    assert math.comb(50, 4) > decode._TAIL_ROWS
+    rng = np.random.default_rng(8)
+    dense = (rng.random((16, 50)) < 0.3).astype(np.uint8)
+    answers = np.ones(16, dtype=np.uint8)
+    matrix = TestMatrix.from_dense(dense)
+    candidates = tuple(range(1, 51))
+    expected = literal_filter(dense, candidates, answers, [4])
+    assert len(expected) > 1
+    assert list(_consistent_sets(matrix, candidates, answers, [4])) == expected

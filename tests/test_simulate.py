@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from pooltest import cli, simulate
 from pooltest.core import InputError
 from pooltest.design import disjunct_test_count, make_design
 from pooltest.simulate import (
@@ -73,6 +75,29 @@ def test_wilson_interval():
         assert 0.0 <= lo <= s / n <= hi <= 1.0
     with pytest.raises(InputError):
         wilson_interval(5, 4)
+
+
+def test_wilson_endpoints_are_exact_at_zero_and_all_successes():
+    # the formula gives exactly 0 at 0 successes and exactly 1 at t of t
+    for trials in range(1, 2001):
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
+
+
+def _no_matrix(*args, **kwargs):
+    raise AssertionError("a matrix was drawn for a trial the desk cap refuses")
+
+
+def test_desk_cap_refuses_before_any_matrix_is_drawn(monkeypatch, capsys):
+    monkeypatch.setattr(simulate, "gen_rid", _no_matrix)
+    argv = ["simulate", "--n", "50", "--d", "2", "--property", "separable",
+            "--decoder", "bruteforce", "--delta", "0.1", "--trials", "25", "--seed", "7",
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["refusals"], report["successes"], report["failures"]) == (25, 0, 0)
+    cfg = TrialConfig(design=make_design(50, 2, 0.1, "separable"), trials=6, master_seed=3)
+    assert estimate_property_rate(cfg, "separable").refusals == 6
 
 
 def test_refusals_never_abort_the_batch():
