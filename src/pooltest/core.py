@@ -37,10 +37,12 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -311,12 +313,40 @@ def answer_vector(matrix: TestMatrix, items: Iterable[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Worker threads, shared by the GTM1 codec and the matrix generators
+# ---------------------------------------------------------------------------
+
+def _worker_count() -> int:
+    """Worker threads for parallel work: one per CPU the process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+def _run_workers(workers: int, job: Callable[[int], None]) -> None:
+    """``job(0)`` ... ``job(workers - 1)``, each on a thread of its own; one
+    worker runs on the calling thread."""
+    if workers == 1:
+        job(0)
+        return
+    # imported here, as it adds about a tenth to the package's import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        for future in [pool.submit(job, k) for k in range(workers)]:
+            future.result()
+
+
+# ---------------------------------------------------------------------------
 # GTM1 text format
 # ---------------------------------------------------------------------------
 
-# Row bytes encoded or checked per block. It bounds the codec's working
-# memory whatever the matrix size; one row wider than this is one block.
-_BLOCK_BYTES = 1 << 24
+# Row bytes a worker encodes, or checks and packs, per block, in buffers of
+# its own. A 2 MiB block stays in cache, and the codec's working memory is a
+# few blocks per worker whatever the matrix size; one row wider than this is
+# one block.
+_BLOCK_BYTES = 1 << 21
 # Cap on the header line, so a file without newlines is not read whole.
 _HEADER_BYTES = 1 << 16
 _HEADER_FORM = "header must be 'GTM1 <m> <n> <model_tag> <seed>'"
@@ -327,17 +357,89 @@ def _block_rows(m: int, n: int) -> int:
     return max(1, min(m, _BLOCK_BYTES // (n + 1)))
 
 
+def _positional(f: BinaryIO) -> int | None:
+    """The descriptor of ``f``, a file the codec opened itself, if its blocks
+    can move by position: a regular file, on a platform with ``preadv``."""
+    fd = f.fileno()
+    return fd if hasattr(os, "preadv") and stat.S_ISREG(os.fstat(fd).st_mode) else None
+
+
+def _pwrite(fd: int, data: memoryview, offset: int) -> None:
+    while data:
+        done = os.pwrite(fd, data, offset)
+        data, offset = data[done:], offset + done
+
+
+def _pread(fd: int, data: memoryview, offset: int) -> int:
+    """Fill ``data`` from ``offset`` on; the count of bytes read, short at the end of the file."""
+    got = 0
+    while got < len(data):
+        done = os.preadv(fd, [data[got:]], offset + got)
+        if not done:
+            break
+        got += done
+    return got
+
+
+def _each_block(m: int, rows: int, fd: int | None,
+                make_step: Callable[[], Callable[[int, int], bool]]) -> int:
+    """Run a codec step over an m-row GTM1 body in blocks of ``rows`` rows.
+
+    ``make_step()`` gives each worker its step, with buffers of its own;
+    ``step(r, k)`` moves the k rows from 0-based row r on and returns False
+    at a defect. Without ``fd``, one worker on the calling thread takes the
+    blocks in file order. With ``fd``, a regular file the codec opened, one
+    worker per CPU takes every workers-th block, in order, and moves it by
+    position. A worker stops at a defect, or at a block past one where
+    another stopped, so every block before the first stop is done. Returns
+    the first row where a step stopped, or m.
+    """
+    workers = 1 if fd is None else min(-(-m // rows), _worker_count())
+    stops = [m] * workers  # each worker writes its own slot only
+
+    def run(w: int) -> None:
+        step = make_step()
+        for r in range(w * rows, m, workers * rows):
+            if r > min(stops):
+                return
+            if not step(r, min(rows, m - r)):
+                stops[w] = r
+                return
+
+    _run_workers(workers, run)
+    return min(stops)
+
+
+def _dump(matrix: TestMatrix, f: BinaryIO, fd: int | None) -> None:
+    m, n = matrix.m, matrix.n
+    header = f"GTM1 {m} {n} {matrix.model_tag} {matrix.seed}\n".encode("ascii")
+    f.write(header)
+    if fd is not None:
+        f.flush()  # the blocks go around f, after the header
+    rows = _block_rows(m, n)
+
+    def make_step():
+        buf = np.empty((rows, n + 1), dtype=np.uint8)
+        buf[:, n] = _LF
+
+        def step(r: int, k: int) -> bool:
+            blk = buf[:k]
+            np.add(np.unpackbits(matrix.bits[r : r + k], axis=1, count=n), _ZERO,
+                   out=blk[:, :n])
+            if fd is None:
+                f.write(memoryview(blk))
+            else:
+                _pwrite(fd, memoryview(blk).cast("B"), len(header) + r * (n + 1))
+            return True
+
+        return step
+
+    _each_block(m, rows, fd, make_step)
+
+
 def dump_gtm1(matrix: TestMatrix, f: BinaryIO) -> None:
     """Write ``matrix`` as GTM1 to the binary file ``f``, one block of rows at a time."""
-    m, n = matrix.m, matrix.n
-    f.write(f"GTM1 {m} {n} {matrix.model_tag} {matrix.seed}\n".encode("ascii"))
-    buf = np.empty((_block_rows(m, n), n + 1), dtype=np.uint8)
-    buf[:, n] = _LF
-    for r in range(0, m, len(buf)):
-        blk = buf[: min(len(buf), m - r)]
-        np.add(np.unpackbits(matrix.bits[r : r + len(blk)], axis=1, count=n), _ZERO,
-               out=blk[:, :n])
-        f.write(memoryview(blk))
+    _dump(matrix, f, None)
 
 
 def _canonical_int(raw: bytes) -> int | None:
@@ -424,11 +526,11 @@ def _first_defect(data: bytes, line: int, m: int, n: int) -> ParseError:
     return ParseError(f"invalid character {chr(byte)!r}", line=line, column=p + 1)
 
 
-def _check_row_weights(weights: np.ndarray, first: int, shared: int | None) -> int:
+def _check_row_weights(weights: np.ndarray, first: int, shared: int | None) -> None:
     """RrSD rule for a block of rows from 0-based row ``first`` on.
 
-    Raises on the first row whose weight is 0 or differs from row 1's, and
-    returns row 1's weight.
+    Raises on the first row whose weight is 0 or differs from ``shared``,
+    row 1's weight; None when the block holds row 1.
     """
     if shared is None:
         shared = int(weights[0])
@@ -443,10 +545,11 @@ def _check_row_weights(weights: np.ndarray, first: int, shared: int | None) -> i
             f"row {first + j + 1} has {weight}",
             line=line,
         )
-    return shared
 
 
-def _decode(f: BinaryIO) -> TestMatrix:
+def _decode(f: BinaryIO, fd: int | None = None) -> TestMatrix:
+    """The matrix in ``f``, its rows moved through ``fd`` if it is not None
+    (see ``_each_block``)."""
     if not f.seekable():
         f = io.BytesIO(f.read())
     m, n, tag, seed = _read_header(f)
@@ -458,23 +561,57 @@ def _decode(f: BinaryIO) -> TestMatrix:
         raise _first_defect(f.read(), 2, m, n)
 
     bits = np.empty((m, (n + 7) // 8), dtype=np.uint8)
-    buf = np.empty((_block_rows(m, n), width), dtype=np.uint8)
-    cells = np.empty((len(buf), n), dtype=np.uint8)
-    weight = None
-    for r in range(0, m, len(buf)):
-        k = min(len(buf), m - r)
-        blk, blk_cells = buf[:k], cells[:k]
-        got = f.readinto(memoryview(blk))
-        np.subtract(blk[:, :n], _ZERO, out=blk_cells)
-        if got < blk.nbytes or (blk[:, n] != _LF).any() or blk_cells.max() > 1:
+    rows = _block_rows(m, n)
+    # RrSD: the weight that all rows of a good block share, by block
+    weights = np.zeros(-(-m // rows), dtype=np.int64)
+    # a block with a defect, by first row: (the bytes read of it, malformed?)
+    defects = {}
+
+    def make_step():
+        buf = np.empty((rows, width), dtype=np.uint8)
+        cells = np.empty((rows, n), dtype=np.uint8)
+
+        def step(r: int, k: int) -> bool:
+            blk, blk_cells = buf[:k], cells[:k]
+            view = memoryview(blk).cast("B")
+            got = f.readinto(view) if fd is None else _pread(fd, view, body + r * width)
+            np.subtract(blk[:, :n], _ZERO, out=blk_cells)
+            if got < len(view) or (blk[:, n] != _LF).any() or blk_cells.max() > 1:
+                defects[r] = (view[:got].tobytes(), True)
+                return False
+            if tag == "RrSD":
+                w = blk_cells.sum(axis=1)
+                if not w[0] or (w != w[0]).any():  # well-formed, but not of one weight >= 1
+                    defects[r] = (view.tobytes(), False)
+                    return False
+                weights[r // rows] = w[0]
+            bits[r : r + k] = np.packbits(blk_cells, axis=1)
+            return True
+
+        return step
+
+    stop = _each_block(m, rows, fd, make_step)
+    shared = int(weights[0]) if stop else None  # RrSD: row 1's weight, if its block is good
+    if tag == "RrSD" and stop:  # the weight rule in row order, first over the good blocks
+        off = np.flatnonzero(weights[: -(-stop // rows)] != shared)
+        if len(off):  # a good block of another weight: its first row breaks the rule
+            _check_row_weights(weights[off[:1]], int(off[0]) * rows, shared)
+    if stop < m:
+        data, malformed = defects[stop]
+        good = len(data) // width
+        exc = None
+        if malformed:
             # readline completes a last row that runs past the block
-            exc = _first_defect(blk.reshape(-1)[:got].tobytes() + f.readline(), r + 2, m, n)
-            if tag == "RrSD" and exc.line - 2 > r:  # well-formed rows before it come first
-                _check_row_weights(blk_cells[: exc.line - 2 - r].sum(axis=1), r, weight)
-            raise exc
-        if tag == "RrSD":
-            weight = _check_row_weights(blk_cells.sum(axis=1), r, weight)
-        bits[r : r + k] = np.packbits(blk_cells, axis=1)
+            f.seek(body + stop * width + len(data))
+            exc = _first_defect(data + f.readline(), stop + 2, m, n)
+            good = exc.line - 2 - stop
+        # well-formed rows before it come first; a block without a malformed
+        # row holds a row of another weight, and raises here
+        if tag == "RrSD" and good:
+            cells = np.frombuffer(data, dtype=np.uint8)[: good * width].reshape(good, width)
+            _check_row_weights((cells[:, :n] - _ZERO).sum(axis=1), stop, shared)
+        raise exc
+    f.seek(body + m * width)
     if f.read(1):
         raise ParseError(f"expected {m} row lines, found more", line=m + 2)
     return TestMatrix._adopt(m, n, bits, tag, seed)
@@ -498,11 +635,11 @@ def parse_gtm1(text: str) -> TestMatrix:
 def write_gtm1(matrix: TestMatrix, path: str | Path) -> None:
     """Write ``matrix`` to ``path`` as GTM1, one block of rows at a time."""
     with open(path, "wb") as f:
-        dump_gtm1(matrix, f)
+        _dump(matrix, f, _positional(f))
 
 
 def read_gtm1(path: str | Path) -> TestMatrix:
     """Read a GTM1 file. Strict: errors carry the 1-based line and column of
     the first defect in file order."""
     with open(path, "rb") as f:
-        return _decode(f)
+        return _decode(f, _positional(f))

@@ -15,7 +15,9 @@ of ``zero_prob``:
   the byte is greater than z1, 0 if it is less, and tied if it equals z1;
 * round k draws ceil(t/8) further words, where t cells are still tied, and
   gives one byte to each tied cell in column order, compared with zk;
-* a cell still tied after zK is 1, because then U >= zero_prob.
+* a cell still tied after zK is 1, because then U >= zero_prob; so when
+  K = 1, as for 0.5, 0.75 or 0.875, a cell is 1 exactly when its byte is at
+  least z1, and a row draws round 1 alone.
 
 So P[cell is 0] equals ``zero_prob`` exactly, and a cell takes one byte with
 probability 255/256. The rid stream depends only on ``SeedSequence`` and
@@ -36,12 +38,11 @@ each row equals the row drawn whole, alone, from its own generator.
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 import numpy as np
 
-from .core import TestMatrix, _require_int, _require_open_unit
+from .core import TestMatrix, _require_int, _require_open_unit, _run_workers, _worker_count
 
 __all__ = ["gen_rid", "gen_rrsd"]
 
@@ -85,13 +86,6 @@ def _break_ties(bits: np.random.BitGenerator, cells: np.ndarray, tied: np.ndarra
     cells[tied] = True
 
 
-def _worker_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity query on this platform
-        return os.cpu_count() or 1
-
-
 def _fill_rows(
     m: int, n: int, block_rows: int,
     make_writer: Callable[[], Callable[[range, np.ndarray], None]],
@@ -111,15 +105,7 @@ def _fill_rows(
         for j in range(first, m, stride):
             write(range(j, min(m, j + stride), workers), bits[j : j + stride : workers])
 
-    if workers == 1:
-        fill(0)
-    else:
-        # imported here, as it adds about a tenth to the package's import time
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers) as pool:
-            for future in [pool.submit(fill, k) for k in range(workers)]:
-                future.result()
+    _run_workers(workers, fill)
     return bits
 
 
@@ -132,6 +118,7 @@ def gen_rid(m: int, n: int, zero_prob: float, seed: int) -> TestMatrix:
     m, n, seed = _check_common(m, n, seed)
     digits = _digits(_require_open_unit(zero_prob, "zero_prob"))
     z1 = digits[0]
+    exact = len(digits) == 1  # zero_prob is z1/256: no cell is left tied
     block_rows = max(1, _BLOCK_CELLS // n) if n <= _CHUNK_CELLS else 1
     width = min(n, _CHUNK_CELLS)
 
@@ -148,6 +135,9 @@ def gen_rid(m: int, n: int, zero_prob: float, seed: int) -> TestMatrix:
                 raw = [bits.random_raw((w + 7) >> 3) for bits in streams]
                 words = raw[0] if len(raw) == 1 else np.concatenate(raw)
                 u = words.astype("<u8", copy=False).view(np.uint8).reshape(len(raw), -1)[:, :w]
+                if exact:
+                    np.greater_equal(u, z1, out=block[:, c : c + w])
+                    continue
                 np.greater(u, z1, out=block[:, c : c + w])
                 at = np.flatnonzero(u == z1)
                 if len(at):

@@ -388,6 +388,27 @@ def test_generate_streams_to_stdout(monkeypatch):
     assert stdout.buffer.getvalue() == expected.encode("ascii")
 
 
+@pytest.mark.parametrize("mode", ["ab", "r+b"])
+def test_generate_to_stdout_keeps_the_files_content(mode, monkeypatch, tmp_path):
+    # standard output may be a regular file with content before the document:
+    # the codec writes there in order, never by position, on one worker
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * 101)
+    monkeypatch.setattr(core, "_worker_count", lambda: 8)
+    path = tmp_path / "out.gtm1"
+    path.write_bytes(b"old\n")
+    with open(path, mode) as raw:
+        raw.seek(0, io.SEEK_END)
+        stdout = io.TextIOWrapper(raw, encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        stdout.write("before\n")
+        assert cli.main(["generate", "--n", "100", "--m", "9", "--zero-prob", "0.5",
+                         "--seed", "4"]) == 0
+        stdout.flush()
+        stdout.detach()
+    expected = "old\nbefore\n" + dumps_gtm1(gen_rid(9, 100, 0.5, 4))
+    assert path.read_bytes() == expected.encode("ascii")
+
+
 def test_unknown_flags_exit_one():
     res = run_cli("design", "--nope", "3")
     assert res.returncode == 1

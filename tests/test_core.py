@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import sys
 import threading
 
 import numpy as np
@@ -372,11 +373,34 @@ def reference_parse(text: str) -> TestMatrix:
     return matrix
 
 
+@pytest.fixture
+def codec_workers(monkeypatch):
+    """Up to 8 codec workers, switching threads every microsecond; the
+    worker count of each block loop run."""
+    started = []
+    run_workers = core._run_workers
+
+    def counting(workers, job):
+        started.append(workers)
+        run_workers(workers, job)
+
+    monkeypatch.setattr(core, "_run_workers", counting)
+    monkeypatch.setattr(core, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield started
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("model", ["rid", "rrsd"])
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
 @pytest.mark.parametrize("block_rows", [1, 2, 3, None])
-def test_gtm1_codec_matches_reference(model, n, block_rows, monkeypatch, tmp_path):
-    # 7 rows in blocks of 1, 2 or 3 rows: every boundary, and a short last block
+def test_gtm1_codec_matches_reference(model, n, block_rows, monkeypatch, tmp_path,
+                                      codec_workers):
+    # 7 rows in blocks of 1, 2 or 3 rows: every boundary, and a short last
+    # block; a file on as many workers as blocks, a string on one
     if block_rows is not None:
         monkeypatch.setattr(core, "_BLOCK_BYTES", block_rows * (n + 1))
     if model == "rid":
@@ -390,6 +414,8 @@ def test_gtm1_codec_matches_reference(model, n, block_rows, monkeypatch, tmp_pat
     assert path.read_bytes() == text.encode("ascii")
     assert parse_gtm1(text) == reference_parse(text) == matrix
     assert read_gtm1(path) == matrix
+    blocks = -(-7 // block_rows) if block_rows else 1
+    assert codec_workers == [1, blocks, 1, blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +442,8 @@ def gtm1_matrices(draw):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(matrix=gtm1_matrices(), block_rows=st.integers(1, 7))
-def test_gtm1_file_round_trip_is_byte_exact(matrix, block_rows, tmp_path, monkeypatch):
+def test_gtm1_file_round_trip_is_byte_exact(matrix, block_rows, tmp_path, monkeypatch,
+                                            codec_workers):
     monkeypatch.setattr(core, "_BLOCK_BYTES", block_rows * (matrix.n + 1))
     first, second = tmp_path / "a.gtm1", tmp_path / "b.gtm1"
     write_gtm1(matrix, first)
@@ -464,3 +491,144 @@ def test_gtm1_single_byte_corruption_is_located_or_round_trips(matrix, data):
     else:
         assert dumps_gtm1(back).encode("ascii") == corrupted
         assert reference_parse(corrupted.decode("ascii")) == back
+
+
+# ---------------------------------------------------------------------------
+# GTM1 defects on several workers
+# ---------------------------------------------------------------------------
+
+# 40 rows of 9 cells in blocks of 2 rows: 20 blocks over 8 workers, so
+# worker k reads blocks k, k + 8 and k + 16. Line L holds row L - 1, in
+# block (L - 2) // 2: lines 8 and 9 are block 3 (worker 3), lines 26 and 27
+# block 12 (worker 4), lines 34 and 35 block 16 (worker 0).
+ROWS, COLS = 40, 9
+
+
+def _reversed_workers(workers, job):
+    """The workers one after another, the last first: every worker reads its
+    blocks before any block of a lower-numbered worker is read."""
+    for k in reversed(range(workers)):
+        job(k)
+
+
+@pytest.fixture(params=["threads", "reversed"])
+def eight_workers(request, monkeypatch, codec_workers):
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * (COLS + 1))
+    if request.param == "reversed":
+        monkeypatch.setattr(core, "_run_workers", _reversed_workers)
+    return request.param
+
+
+def _plant(text: bytes, line: int, column: int, value: bytes) -> bytes:
+    """``text`` with the byte at 1-based ``line`` and ``column`` replaced."""
+    start = 0
+    for _ in range(line - 1):
+        start = text.index(b"\n", start) + 1
+    pos = start + column - 1
+    return text[:pos] + value + text[pos + 1:]
+
+
+def _read_error(path, data: bytes) -> str:
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as file_error:
+        read_gtm1(path)
+    with pytest.raises(ParseError) as text_error:  # one worker, in file order
+        core._decode(io.BytesIO(data))
+    assert str(file_error.value) == str(text_error.value)
+    return str(file_error.value)
+
+
+def _flip(text: bytes, line: int, to: bytes) -> bytes:
+    """Row at ``line`` with its first cell that is not ``to`` set to ``to``."""
+    row = text.split(b"\n")[line - 1]
+    return _plant(text, line, row.index(b"1" if to == b"0" else b"0") + 1, to)
+
+
+# (line, column, byte) edits and the error each reports
+GRAMMAR_DEFECTS = [
+    ((9, 3, b"x"), "line 9, column 3: invalid character 'x'"),
+    ((9, 4, b"\r"), "line 9, column 4: invalid character '\\r'"),
+    ((9, 5, b"\xe9"), "line 9, column 5: non-ASCII byte 0xe9"),
+    # the last row of block 3 runs into block 4: its length is read past the block
+    ((9, 10, b"1"), "line 9, column 10: expected 9 characters, got 19"),
+    ((8, 4, b"\n"), "line 8, column 4: expected 9 characters, got 3"),
+]
+
+
+@pytest.mark.parametrize("first,message", GRAMMAR_DEFECTS)
+@pytest.mark.parametrize("later", [(27, 2, b"x"), (26, 10, b"0"), (35, 1, b"\n")])
+def test_threaded_reader_reports_the_first_of_two_defects(first, message, later, tmp_path,
+                                                          eight_workers):
+    text = dumps_gtm1(gen_rid(ROWS, COLS, 0.5, 3)).encode("ascii")
+    path = tmp_path / "m.gtm1"
+    assert _read_error(path, _plant(_plant(text, *later), *first)) == message
+    assert _read_error(path, _plant(text, *first)) == message
+
+
+@pytest.mark.parametrize("defects,message", [
+    # a weight defect before a grammar defect, in another block or the same one
+    ([(8, b"1"), (27, 2, b"x")], "line 8: RrSD rows must share one weight: row 1 has 3, row 7 has 4"),
+    ([(8, b"0"), (9, 10, b"1")], "line 8: RrSD rows must share one weight: row 1 has 3, row 7 has 2"),
+    # a grammar defect before a weight defect
+    ([(9, 2, b"x"), (26, b"1")], "line 9, column 2: invalid character 'x'"),
+    ([(8, 2, b"x"), (9, b"1")], "line 8, column 2: invalid character 'x'"),
+    # a well-formed block whose rows share another weight
+    ([(26, b"1"), (27, b"1"), (35, 2, b"x")],
+     "line 26: RrSD rows must share one weight: row 1 has 3, row 25 has 4"),
+    # row 1 sets the weight; a later block of the same other weight comes after it
+    ([(2, b"1"), (34, 2, b"x")], "line 3: RrSD rows must share one weight: row 1 has 4, row 2 has 3"),
+])
+def test_threaded_reader_keeps_the_rrsd_weight_rule_in_row_order(defects, message, tmp_path,
+                                                                 eight_workers):
+    text = dumps_gtm1(gen_rrsd(ROWS, COLS, 3, 5)).encode("ascii")
+    for defect in defects:
+        text = _flip(text, *defect) if len(defect) == 2 else _plant(text, *defect)
+    assert _read_error(tmp_path / "m.gtm1", text) == message
+
+
+def test_threaded_reader_reports_a_row_of_weight_zero(tmp_path, eight_workers):
+    text = dumps_gtm1(gen_rrsd(ROWS, COLS, 1, 5)).encode("ascii")
+    text = _flip(_flip(text, 27, b"0"), 35, b"0")
+    assert _read_error(tmp_path / "m.gtm1", text) == "line 27: RrSD row has weight 0"
+
+
+@pytest.mark.parametrize("extra,message", [
+    (b"101010101\n", "line 42: expected 40 row lines, found more"),
+    (b"x", "line 42: expected 40 row lines, found more"),
+])
+def test_threaded_reader_rejects_rows_past_m(extra, message, tmp_path, eight_workers):
+    text = dumps_gtm1(gen_rid(ROWS, COLS, 0.5, 3)).encode("ascii")
+    assert _read_error(tmp_path / "m.gtm1", text + extra) == message
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix=gtm1_matrices(), block_rows=st.integers(1, 3), data=st.data())
+def test_threaded_reader_agrees_with_the_sequential_reader(matrix, block_rows, data, tmp_path,
+                                                           monkeypatch, codec_workers):
+    # up to three bytes changed, in blocks of up to 3 rows on up to 6 workers
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block_rows * (matrix.n + 1))
+    text = bytearray(dumps_gtm1(matrix).encode("ascii"))
+    header = text.index(b"\n") + 1
+    for _ in range(data.draw(st.integers(1, 3), label="changes")):
+        pos = data.draw(st.integers(header, len(text) - 1), label="pos")
+        text[pos] = data.draw(st.sampled_from(b"01\nx\r\xe9"), label="value")
+    path = tmp_path / "m.gtm1"
+    path.write_bytes(text)
+    try:
+        expected = core._decode(io.BytesIO(bytes(text)))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as threaded:
+            read_gtm1(path)
+        assert str(threaded.value) == str(exc)
+    else:
+        assert read_gtm1(path) == expected
+
+
+def test_codec_moves_blocks_by_position_only_in_regular_files(tmp_path):
+    path = tmp_path / "m.gtm1"
+    with open(path, "wb") as f:
+        assert core._positional(f) == (f.fileno() if hasattr(os, "preadv") else None)
+    read, write = os.pipe()
+    with open(read, "rb") as r, open(write, "wb") as w:
+        assert core._positional(r) is None and core._positional(w) is None

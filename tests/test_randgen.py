@@ -249,7 +249,9 @@ def _fraction_row(seed, row_index, n, zero_prob):
     return np.array(cells, dtype=bool)
 
 
-ZERO_PROBS = [0.5, 0.6, 0.875, 1 / 3, 0.001, 0.999, 1e-300]
+# 0.5, 0.75, 0.875, 1/256 and 255/256 have one base-256 digit, so a tie on
+# it decides the cell at once
+ZERO_PROBS = [0.5, 0.75, 0.875, 1 / 256, 255 / 256, 0.6, 1 / 3, 0.001, 0.999, 1e-300]
 
 
 def test_zero_prob_digits_cover_the_first_byte_range():
@@ -271,7 +273,7 @@ def test_rid_rows_equal_the_fraction_reference(zero_prob, n):
         assert np.array_equal(matrix.bits[j], np.packbits(expected))
 
 
-@pytest.mark.parametrize("zero_prob", [0.6, 0.999, 1e-300])
+@pytest.mark.parametrize("zero_prob", [0.6, 0.75, 0.999, 1e-300])
 @pytest.mark.parametrize("n", [15, 16, 17, 40, 61])
 @pytest.mark.parametrize("threaded", [False, True])
 def test_fraction_reference_across_chunks_and_blocks(zero_prob, n, threaded, monkeypatch):
