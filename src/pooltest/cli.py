@@ -59,7 +59,8 @@ from .decode import (
     decode_semidisjunct,
     decode_separable_bruteforce,
 )
-from .randgen import gen_rid, gen_rrsd
+from .randgen import gen_rid  # not called here; perfbench's tracer wraps this name
+from .randgen import seeded_matrix
 from .simulate import TrialConfig, run_trials
 from .verify import check_property
 
@@ -247,23 +248,20 @@ def _cmd_table(args, out) -> int:
 def _cmd_generate(args, out) -> int:
     seed = _default_seed(args.seed)
     if args.m is not None:
-        if args.model == "rid":
-            if args.zero_prob is None:
-                raise InputError("--zero-prob is required with --m for the rid model")
-            matrix = gen_rid(args.m, args.n, args.zero_prob, seed)
-        else:
-            if args.row_weight is None:
-                raise InputError("--row-weight is required with --m for the rrsd model")
-            matrix = gen_rrsd(args.m, args.n, args.row_weight, seed)
+        m, model = args.m, args.model
+        param = args.zero_prob if model == "rid" else args.row_weight
+        if param is None:
+            flag = "--zero-prob" if model == "rid" else "--row-weight"
+            raise InputError(f"{flag} is required with --m for the {model} model")
     else:
         if args.d is None or args.delta is None or args.property is None:
             raise InputError("either --m or all of --d/--delta/--property are required")
         prop = _normalize_property(args.property)
         spec = design_mod.make_design(args.n, args.d, args.delta, prop, args.model)
-        if spec.model == "rid":
-            matrix = gen_rid(spec.m, spec.n, spec.zero_prob, seed)
-        else:
-            matrix = gen_rrsd(spec.m, spec.n, spec.row_weight, seed)
+        m, model = spec.m, spec.model
+        param = spec.zero_prob if model == "rid" else spec.row_weight
+    # every parameter is checked here, before the output file is opened
+    matrix = seeded_matrix(model, m, args.n, param, seed)
     if args.out is None:
         out.flush()
         dump_gtm1(matrix, out.buffer)

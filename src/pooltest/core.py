@@ -31,6 +31,12 @@ The grammar is strict, and the codec reads and writes bytes:
 A file that breaks a rule raises ``ParseError`` with the 1-based line, and
 within a row the column, of its first defect in file order. ``write`` after
 ``read`` reproduces a valid file byte for byte.
+
+The codec runs one block loop, ``_each_block``, over blocks of about 2 MiB
+of rows. ``write_gtm1`` and ``dump_gtm1`` take a ``TestMatrix``, whose
+blocks are unpacked, or a seeded matrix of ``pooltest.randgen``, whose
+blocks are drawn as they are written. The reader checks each block in its
+read buffer and packs it.
 """
 
 from __future__ import annotations
@@ -212,6 +218,10 @@ class TestMatrix:
         _require_int(row, "row", 0, self.m - 1)
         return tuple((np.flatnonzero(np.unpackbits(self.bits[row], count=self.n)) + 1).tolist())
 
+    def _fill_cells(self, r: int, k: int, out: np.ndarray) -> None:
+        """Cells of the k rows from 0-based row r on, into the boolean (k, n) ``out``."""
+        out.view(np.uint8)[...] = np.unpackbits(self.bits[r : r + k], axis=1, count=self.n)
+
     def row_weights(self) -> np.ndarray:
         """Number of items in each test."""
         return _POPCOUNT8[self.bits].sum(axis=1)
@@ -381,20 +391,21 @@ def _pread(fd: int, data: memoryview, offset: int) -> int:
     return got
 
 
-def _each_block(m: int, rows: int, fd: int | None,
+def _each_block(m: int, rows: int, parallel: bool,
                 make_step: Callable[[], Callable[[int, int], bool]]) -> int:
-    """Run a codec step over an m-row GTM1 body in blocks of ``rows`` rows.
+    """Run a step over m rows in blocks of ``rows`` rows: the one block loop
+    of the GTM1 codec and of the matrix generators.
 
     ``make_step()`` gives each worker its step, with buffers of its own;
-    ``step(r, k)`` moves the k rows from 0-based row r on and returns False
-    at a defect. Without ``fd``, one worker on the calling thread takes the
-    blocks in file order. With ``fd``, a regular file the codec opened, one
-    worker per CPU takes every workers-th block, in order, and moves it by
-    position. A worker stops at a defect, or at a block past one where
-    another stopped, so every block before the first stop is done. Returns
-    the first row where a step stopped, or m.
+    ``step(r, k)`` does the k rows from 0-based row r on and returns False
+    at a defect. Unless ``parallel``, one worker on the calling thread takes
+    the blocks in order. If ``parallel``, one worker per CPU, at most one per
+    block, takes every workers-th block, in order. A worker stops at a
+    defect, or at a block past one where another stopped, so every block
+    before the first stop is done. Returns the first row where a step
+    stopped, or m.
     """
-    workers = 1 if fd is None else min(-(-m // rows), _worker_count())
+    workers = min(-(-m // rows), _worker_count()) if parallel else 1
     stops = [m] * workers  # each worker writes its own slot only
 
     def run(w: int) -> None:
@@ -410,7 +421,16 @@ def _each_block(m: int, rows: int, fd: int | None,
     return min(stops)
 
 
-def _dump(matrix: TestMatrix, f: BinaryIO, fd: int | None) -> None:
+def _dump(matrix, f: BinaryIO, fd: int | None) -> None:
+    """Write ``matrix`` to ``f``, its blocks by position through ``fd`` if
+    it is not None (see ``_each_block``).
+
+    ``matrix`` is a ``TestMatrix`` or any other m x n matrix with a
+    ``model_tag``, a ``seed`` and ``_fill_cells(r, k, out)``, which puts the
+    cells of its k rows from row r on into the boolean (k, n) array ``out``:
+    a seeded matrix of ``pooltest.randgen`` draws them there, so it is
+    written without ever being held whole.
+    """
     m, n = matrix.m, matrix.n
     header = f"GTM1 {m} {n} {matrix.model_tag} {matrix.seed}\n".encode("ascii")
     f.write(header)
@@ -423,9 +443,9 @@ def _dump(matrix: TestMatrix, f: BinaryIO, fd: int | None) -> None:
         buf[:, n] = _LF
 
         def step(r: int, k: int) -> bool:
-            blk = buf[:k]
-            np.add(np.unpackbits(matrix.bits[r : r + k], axis=1, count=n), _ZERO,
-                   out=blk[:, :n])
+            blk, cells = buf[:k], buf[:k, :n]
+            matrix._fill_cells(r, k, cells.view(bool))
+            np.add(cells, _ZERO, out=cells)
             if fd is None:
                 f.write(memoryview(blk))
             else:
@@ -434,10 +454,10 @@ def _dump(matrix: TestMatrix, f: BinaryIO, fd: int | None) -> None:
 
         return step
 
-    _each_block(m, rows, fd, make_step)
+    _each_block(m, rows, fd is not None, make_step)
 
 
-def dump_gtm1(matrix: TestMatrix, f: BinaryIO) -> None:
+def dump_gtm1(matrix, f: BinaryIO) -> None:
     """Write ``matrix`` as GTM1 to the binary file ``f``, one block of rows at a time."""
     _dump(matrix, f, None)
 
@@ -569,28 +589,29 @@ def _decode(f: BinaryIO, fd: int | None = None) -> TestMatrix:
 
     def make_step():
         buf = np.empty((rows, width), dtype=np.uint8)
-        cells = np.empty((rows, n), dtype=np.uint8)
 
         def step(r: int, k: int) -> bool:
-            blk, blk_cells = buf[:k], cells[:k]
+            blk, cells = buf[:k], buf[:k, :n]
             view = memoryview(blk).cast("B")
             got = f.readinto(view) if fd is None else _pread(fd, view, body + r * width)
-            np.subtract(blk[:, :n], _ZERO, out=blk_cells)
-            if got < len(view) or (blk[:, n] != _LF).any() or blk_cells.max() > 1:
+            np.subtract(cells, _ZERO, out=cells)  # in place: the cells become 0 and 1
+            if got < len(view) or (blk[:, n] != _LF).any() or cells.max() > 1:
+                np.add(cells, _ZERO, out=cells)  # the bytes as read: uint8 wraps both ways
                 defects[r] = (view[:got].tobytes(), True)
                 return False
             if tag == "RrSD":
-                w = blk_cells.sum(axis=1)
+                w = cells.sum(axis=1)
                 if not w[0] or (w != w[0]).any():  # well-formed, but not of one weight >= 1
+                    np.add(cells, _ZERO, out=cells)
                     defects[r] = (view.tobytes(), False)
                     return False
                 weights[r // rows] = w[0]
-            bits[r : r + k] = np.packbits(blk_cells, axis=1)
+            bits[r : r + k] = np.packbits(cells, axis=1)
             return True
 
         return step
 
-    stop = _each_block(m, rows, fd, make_step)
+    stop = _each_block(m, rows, fd is not None, make_step)
     shared = int(weights[0]) if stop else None  # RrSD: row 1's weight, if its block is good
     if tag == "RrSD" and stop:  # the weight rule in row order, first over the good blocks
         off = np.flatnonzero(weights[: -(-stop // rows)] != shared)
@@ -632,8 +653,9 @@ def parse_gtm1(text: str) -> TestMatrix:
     return _decode(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
-def write_gtm1(matrix: TestMatrix, path: str | Path) -> None:
-    """Write ``matrix`` to ``path`` as GTM1, one block of rows at a time."""
+def write_gtm1(matrix, path: str | Path) -> None:
+    """Write ``matrix`` to ``path`` as GTM1, one block of rows at a time:
+    a ``TestMatrix``, or a seeded matrix that each block draws (see ``_dump``)."""
     with open(path, "wb") as f:
         _dump(matrix, f, _positional(f))
 

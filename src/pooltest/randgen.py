@@ -25,36 +25,39 @@ PCG64's raw output, which NumPy's stream policy (NEP 19) keeps stable across
 versions, unlike ``Generator.random``. A rrsd row is ``Generator.choice``
 without replacement, which that policy does not cover.
 
-``gen_rid`` and ``gen_rrsd`` share one row filler. A matrix of at least
-2^22 cells has its rows split across a thread pool with one worker per CPU
-the process may run on; a smaller one is filled inline, where starting
-threads would cost more than they save. A rid worker draws round 1 into a
-reused cell buffer: short rows several at a time, in blocks of about 2^16
-cells, and a wider row in chunks of 2^18 cells. Ties are broken only after
-a row's round 1 is complete, so the bits do not depend on the number of
-workers, the chunk or block size or the order in which rows are filled:
-each row equals the row drawn whole, alone, from its own generator.
+``seeded_matrix`` gives a matrix that is not drawn yet, and one row drawer
+per model draws any block of its rows into a boolean buffer. Two sinks share
+it, and both run ``core._each_block``: ``draw()``, behind ``gen_rid`` and
+``gen_rrsd``, packs each block into a ``TestMatrix``, and
+``core.write_gtm1`` / ``core.dump_gtm1`` write each block as GTM1 text as it
+is drawn, so ``pooltest generate`` never holds the matrix. ``draw()`` splits
+a matrix of at least 2^22 cells across a thread pool with one worker per CPU
+the process may run on; a smaller one is drawn inline, where starting
+threads would cost more than they save. A rid drawer draws round 1 short
+rows several at a time, in groups of about 2^16 cells, and a wider row in
+chunks of 2^18 cells. Ties are broken only after a row's round 1 is
+complete, so the bits do not depend on the number of workers, the chunk,
+group or block size or the order in which rows are drawn: each row equals
+the row drawn whole, alone, from its own generator.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .core import TestMatrix, _require_int, _require_open_unit, _run_workers, _worker_count
+from .core import MODELS, InputError, TestMatrix, _each_block, _require_int, _require_open_unit
 
-__all__ = ["gen_rid", "gen_rrsd"]
+__all__ = ["gen_rid", "gen_rrsd", "seeded_matrix"]
 
-# Matrices with fewer cells than this are filled on the calling thread.
+# Matrices with fewer cells than this are drawn on the calling thread.
 _PARALLEL_CELLS = 1 << 22
 # Cells per rid round-1 draw from one row; a wider row is drawn in chunks of
 # this many cells, a multiple of 8, so that every chunk takes whole words.
 # Calls this long let two workers overlap; with 2^16-cell chunks they spent
 # their time handing the interpreter lock back and forth.
 _CHUNK_CELLS = 1 << 18
-# Rows of at most _CHUNK_CELLS cells are drawn in blocks of several rows, of
-# about this many cells: one numpy call per block, not per row, and small
+# Rows of at most _CHUNK_CELLS cells are drawn in groups of several rows, of
+# about this many cells: one numpy call per group, not per row, and small
 # buffers, which leave little memory behind in the workers' malloc arenas.
 _BLOCK_CELLS = 1 << 16
 
@@ -86,94 +89,121 @@ def _break_ties(bits: np.random.BitGenerator, cells: np.ndarray, tied: np.ndarra
     cells[tied] = True
 
 
-def _fill_rows(
-    m: int, n: int, block_rows: int,
-    make_writer: Callable[[], Callable[[range, np.ndarray], None]],
-) -> np.ndarray:
-    """Packed bits of an m x n matrix.
+class SeededMatrix:
+    """An m x n matrix of a seeded model, given by its parameters and drawn
+    a block of rows at a time, each row from its own stream.
 
-    ``make_writer()`` gives each worker its own writer, which draws the rows
-    in a range of at most ``block_rows`` row indices, each from its own
-    stream, into the packed rows it is handed.
+    ``draw()`` packs it into a ``TestMatrix``; ``core.write_gtm1`` and
+    ``core.dump_gtm1`` write each block as it is drawn, so the matrix is
+    never held whole. Both take the same bits.
     """
-    bits = np.empty((m, (n + 7) // 8), dtype=np.uint8)
-    workers = min(m, _worker_count()) if m * n >= _PARALLEL_CELLS else 1
-    stride = workers * block_rows
 
-    def fill(first: int) -> None:
-        write = make_writer()
-        for j in range(first, m, stride):
-            write(range(j, min(m, j + stride), workers), bits[j : j + stride : workers])
+    model_tag: str
+    _rows: int  # rows per draw when the matrix is drawn into memory
 
-    _run_workers(workers, fill)
-    return bits
+    def __init__(self, m: int, n: int, seed: int):
+        self.m = _require_int(m, "m", 1)
+        self.n = _require_int(n, "n", 1)
+        self.seed = _require_int(seed, "seed", 0)
+
+    def _fill_cells(self, r: int, k: int, out: np.ndarray) -> None:
+        """Rows r .. r + k - 1 into the boolean (k, n) array ``out``."""
+        raise NotImplementedError
+
+    def draw(self) -> TestMatrix:
+        """The packed matrix. One of at least 2^22 cells is drawn on one
+        worker per CPU, each taking every workers-th block of rows."""
+        m, n, rows = self.m, self.n, self._rows
+        bits = np.empty((m, (n + 7) // 8), dtype=np.uint8)
+
+        def make_step():
+            cells = np.empty((rows, n), dtype=bool)
+
+            def step(r: int, k: int) -> bool:
+                self._fill_cells(r, k, cells[:k])
+                bits[r : r + k] = np.packbits(cells[:k], axis=1)
+                return True
+
+            return step
+
+        _each_block(m, rows, m * n >= _PARALLEL_CELLS, make_step)
+        return TestMatrix._adopt(m, n, bits, self.model_tag, self.seed)
 
 
-def _check_common(m: int, n: int, seed: int) -> tuple[int, int, int]:
-    return _require_int(m, "m", 1), _require_int(n, "n", 1), _require_int(seed, "seed", 0)
+class _Rid(SeededMatrix):
+    model_tag = "RID"
+
+    def __init__(self, m: int, n: int, zero_prob: float, seed: int):
+        super().__init__(m, n, seed)
+        self._digits = _digits(_require_open_unit(zero_prob, "zero_prob"))
+        self._rows = max(1, _BLOCK_CELLS // self.n) if self.n <= _CHUNK_CELLS else 1
+        self._width = min(self.n, _CHUNK_CELLS)
+
+    def _fill_cells(self, r: int, k: int, out: np.ndarray) -> None:
+        for a in range(0, k, self._rows):
+            b = min(k, a + self._rows)
+            self._draw_group(range(r + a, r + b), out[a:b])
+
+    def _draw_group(self, rows: range, block: np.ndarray) -> None:
+        """Rows of at most ``_rows``: one chunk each if there are several."""
+        n, width, digits = self.n, self._width, self._digits
+        z1 = digits[0]
+        exact = len(digits) == 1  # zero_prob is z1/256: no cell is left tied
+        # the rows' default_rng bit generators, without a Generator around them
+        streams = [np.random.PCG64(np.random.SeedSequence([self.seed, j])) for j in rows]
+        tied = []
+        for c in range(0, n, width):
+            w = min(width, n - c)
+            raw = [bits.random_raw((w + 7) >> 3) for bits in streams]
+            words = raw[0] if len(raw) == 1 else np.concatenate(raw)
+            u = words.astype("<u8", copy=False).view(np.uint8).reshape(len(raw), -1)[:, :w]
+            if exact:
+                np.greater_equal(u, z1, out=block[:, c : c + w])
+                continue
+            np.greater(u, z1, out=block[:, c : c + w])
+            at = np.flatnonzero(u == z1)
+            if len(at):
+                row_of, column = np.divmod(at, w)
+                tied.append((row_of, column + c))
+        if tied:
+            # a group of several rows is one chunk, so the ties come in row
+            # order, and in column order within a row
+            row_of, column = (np.concatenate(part) for part in zip(*tied))
+            ends = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
+            for i, (a, b) in enumerate(zip(ends, ends[1:])):
+                if a < b:
+                    _break_ties(streams[i], block[i], column[a:b], digits)
+
+
+class _Rrsd(SeededMatrix):
+    model_tag = "RrSD"
+    _rows = 1
+
+    def __init__(self, m: int, n: int, row_weight: int, seed: int):
+        super().__init__(m, n, seed)
+        self._weight = _require_int(row_weight, "row_weight", 1, self.n)
+
+    def _fill_cells(self, r: int, k: int, out: np.ndarray) -> None:
+        out.fill(False)
+        for i in range(k):
+            rng = np.random.default_rng(np.random.SeedSequence([self.seed, r + i]))
+            out[i, rng.choice(self.n, size=self._weight, replace=False)] = True
+
+
+def seeded_matrix(model: str, m: int, n: int, param, seed: int) -> SeededMatrix:
+    """The undrawn m x n matrix of ``model``: rid with ``param`` as its
+    zero_prob, or rrsd with ``param`` as its row weight. Every parameter is
+    checked here, before any row is drawn."""
+    if model not in MODELS:
+        raise InputError(f"model must be one of {MODELS}, got {model!r}")
+    return (_Rid if model == "rid" else _Rrsd)(m, n, param, seed)
 
 
 def gen_rid(m: int, n: int, zero_prob: float, seed: int) -> TestMatrix:
     """m x n matrix with i.i.d. cells, zero with probability ``zero_prob``."""
-    m, n, seed = _check_common(m, n, seed)
-    digits = _digits(_require_open_unit(zero_prob, "zero_prob"))
-    z1 = digits[0]
-    exact = len(digits) == 1  # zero_prob is z1/256: no cell is left tied
-    block_rows = max(1, _BLOCK_CELLS // n) if n <= _CHUNK_CELLS else 1
-    width = min(n, _CHUNK_CELLS)
-
-    def make_writer():
-        cells = np.empty((block_rows, n), dtype=bool)
-
-        def write(rows, out):
-            # the rows' default_rng bit generators, without a Generator around them
-            streams = [np.random.PCG64(np.random.SeedSequence([seed, j])) for j in rows]
-            block = cells[: len(rows)]
-            tied = []
-            for c in range(0, n, width):
-                w = min(width, n - c)
-                raw = [bits.random_raw((w + 7) >> 3) for bits in streams]
-                words = raw[0] if len(raw) == 1 else np.concatenate(raw)
-                u = words.astype("<u8", copy=False).view(np.uint8).reshape(len(raw), -1)[:, :w]
-                if exact:
-                    np.greater_equal(u, z1, out=block[:, c : c + w])
-                    continue
-                np.greater(u, z1, out=block[:, c : c + w])
-                at = np.flatnonzero(u == z1)
-                if len(at):
-                    row_of, column = np.divmod(at, w)
-                    tied.append((row_of, column + c))
-            if tied:
-                # a block of several rows is one chunk, so the ties come in
-                # row order, and in column order within a row
-                row_of, column = (np.concatenate(part) for part in zip(*tied))
-                ends = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
-                for r, (a, b) in enumerate(zip(ends, ends[1:])):
-                    if a < b:
-                        _break_ties(streams[r], block[r], column[a:b], digits)
-            out[:] = np.packbits(block, axis=1)
-
-        return write
-
-    bits = _fill_rows(m, n, block_rows, make_writer)
-    return TestMatrix._adopt(m, n, bits, "RID", seed)
+    return _Rid(m, n, zero_prob, seed).draw()
 
 
 def gen_rrsd(m: int, n: int, row_weight: int, seed: int) -> TestMatrix:
     """m x n matrix whose rows are independent uniform ``row_weight``-subsets."""
-    m, n, seed = _check_common(m, n, seed)
-    row_weight = _require_int(row_weight, "row_weight", 1, n)
-
-    def make_writer():
-        cells = np.empty(n, dtype=bool)
-
-        def write(rows, out):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, rows[0]]))
-            cells.fill(False)
-            cells[rng.choice(n, size=row_weight, replace=False)] = True
-            out[0] = np.packbits(cells)
-
-        return write
-
-    bits = _fill_rows(m, n, 1, make_writer)
-    return TestMatrix._adopt(m, n, bits, "RrSD", seed)
+    return _Rrsd(m, n, row_weight, seed).draw()

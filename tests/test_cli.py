@@ -11,7 +11,8 @@ import pytest
 from pooltest import cli, core
 from pooltest.cli import format_answer_line, parse_answer_file
 from pooltest.core import ParseError, answer_vector, dumps_gtm1, read_gtm1
-from pooltest.randgen import gen_rid
+from pooltest.design import make_design
+from pooltest.randgen import gen_rid, gen_rrsd
 from pooltest.verify import check_property
 
 
@@ -407,6 +408,57 @@ def test_generate_to_stdout_keeps_the_files_content(mode, monkeypatch, tmp_path)
         stdout.detach()
     expected = "old\nbefore\n" + dumps_gtm1(gen_rid(9, 100, 0.5, 4))
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def _design_m_n_param(n, model):
+    spec = make_design(n, 2, 0.1, "semidisjunct", model)
+    return spec.m, n, spec.zero_prob if model == "rid" else spec.row_weight
+
+
+@pytest.mark.parametrize("args,matrix", [
+    (("--n", "41", "--m", "9", "--zero-prob", "0.875"), lambda: gen_rid(9, 41, 0.875, 6)),
+    (("--n", "41", "--m", "9", "--zero-prob", "0.7"), lambda: gen_rid(9, 41, 0.7, 6)),
+    (("--model", "rrsd", "--n", "41", "--m", "9", "--row-weight", "5"),
+     lambda: gen_rrsd(9, 41, 5, 6)),
+    (("--model", "rrsd", "--n", "300", "--d", "2", "--delta", "0.1", "--property", "semi"),
+     lambda: gen_rrsd(*_design_m_n_param(300, "rrsd"), 6)),
+    (("--n", "300", "--d", "2", "--delta", "0.1", "--property", "semi"),
+     lambda: gen_rid(*_design_m_n_param(300, "rid"), 6)),
+])
+def test_generate_writes_the_bytes_of_the_packed_matrix(args, matrix, monkeypatch, tmp_path):
+    # the rows are drawn into the codec's blocks, of two 41-cell rows or one
+    # 300-cell row, on up to 8 workers for a file and inline for standard output
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * 42)
+    monkeypatch.setattr(core, "_worker_count", lambda: 8)
+    expected = dumps_gtm1(matrix()).encode("ascii")
+    path = tmp_path / "m.gtm1"
+    assert cli.main(["generate", *args, "--seed", "6", "--out", str(path)]) == 0
+    assert path.read_bytes() == expected
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["generate", *args, "--seed", "6"]) == 0
+    stdout.flush()
+    assert stdout.buffer.getvalue() == expected
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--m", "3", "--zero-prob", "1.5"), "zero_prob must lie strictly inside (0, 1), got 1.5"),
+    (("--m", "3", "--zero-prob", "0"), "zero_prob must lie strictly inside (0, 1), got 0.0"),
+    (("--m", "3"), "--zero-prob is required with --m for the rid model"),
+    (("--model", "rrsd", "--m", "3", "--row-weight", "11"), "row_weight must be <= 10, got 11"),
+    (("--model", "rrsd", "--m", "3", "--row-weight", "0"), "row_weight must be >= 1, got 0"),
+    (("--model", "rrsd", "--m", "3"), "--row-weight is required with --m for the rrsd model"),
+    (("--m", "0", "--zero-prob", "0.5"), "m must be >= 1, got 0"),
+    (("--m", "3", "--zero-prob", "0.5", "--seed", "-1"), "argument --seed: expected"),
+    (("--m", "3", "--zero-prob", "0.5", "--seed", "1.5"), "argument --seed: expected"),
+    (("--d", "20", "--delta", "0.1", "--property", "semi"), "d must be <= n"),
+])
+def test_generate_checks_its_parameters_before_opening_the_file(args, message, tmp_path, capsys):
+    path = tmp_path / "m.gtm1"
+    path.write_bytes(b"kept\n")
+    assert cli.main(["generate", "--n", "10", *args, "--out", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert path.read_bytes() == b"kept\n"
 
 
 def test_unknown_flags_exit_one():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from pooltest import core
+from pooltest import core, randgen
 from pooltest.core import (
     MODEL_TAGS,
     DesignSpec,
@@ -415,7 +415,48 @@ def test_gtm1_codec_matches_reference(model, n, block_rows, monkeypatch, tmp_pat
     assert parse_gtm1(text) == reference_parse(text) == matrix
     assert read_gtm1(path) == matrix
     blocks = -(-7 // block_rows) if block_rows else 1
-    assert codec_workers == [1, blocks, 1, blocks]
+    # the generator's block loop, inline for a small matrix, then the codec's
+    assert codec_workers == [1, 1, blocks, 1, blocks]
+
+
+# 0.875 has one base-256 digit; 0.7 and 1/3 leave ties for later rounds
+DRAWN = [("rid", 0.875), ("rid", 0.7), ("rid", 1 / 3), ("rrsd", 3)]
+
+
+@pytest.mark.parametrize("model,param", DRAWN)
+@pytest.mark.parametrize("m,n", [(7, 13), (7, 41), (3, 41)])
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("threaded", [False, True])
+def test_drawn_matrix_writes_the_bytes_of_the_packed_one(model, param, m, n, block_rows, threaded,
+                                                         monkeypatch, tmp_path, codec_workers):
+    # 16-cell chunks split a 41-cell row in three; 13-cell rows are drawn two
+    # at a time, so a block of 3 rows takes a group of 2 and one of 1. A
+    # string is written inline, a file on one worker per block, up to 8: 7
+    # one-row blocks take 7 workers, and 3 rows, fewer than the workers, take
+    # 3. The packed matrix is drawn inline, or on one worker per group.
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 16)
+    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 26)
+    monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1 if threaded else 10**9)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block_rows * (n + 1))
+    gen = gen_rid if model == "rid" else gen_rrsd
+    packed = tmp_path / "packed.gtm1"
+    write_gtm1(gen(m, n, param, 19), packed)
+    expected = packed.read_bytes()
+    assert expected == reference_dumps(gen(m, n, param, 19)).encode("ascii")
+    drawn = randgen.seeded_matrix(model, m, n, param, 19)
+    stream = io.BytesIO()
+    core.dump_gtm1(drawn, stream)
+    assert stream.getvalue() == expected
+    path = tmp_path / "drawn.gtm1"
+    write_gtm1(drawn, path)
+    assert path.read_bytes() == expected
+    assert read_gtm1(path) == drawn.draw()
+    blocks = -(-m // block_rows)
+    groups = -(-m // 2) if (model, n) == ("rid", 13) else m
+    gen_workers = groups if threaded else 1
+    # the generator's loop, then a file, the generator's again, a string, a
+    # file, the reader and the generator's
+    assert codec_workers == [gen_workers, blocks, gen_workers, 1, blocks, blocks, gen_workers]
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +604,22 @@ def test_threaded_reader_reports_the_first_of_two_defects(first, message, later,
     path = tmp_path / "m.gtm1"
     assert _read_error(path, _plant(_plant(text, *later), *first)) == message
     assert _read_error(path, _plant(text, *first)) == message
+
+
+@pytest.mark.parametrize("edits,message", [
+    # '/' is '0' - 1: checked in place, it wraps to 255 and back
+    ([(21, 4, b"/")], "line 21, column 4: invalid character '/'"),
+    ([(22, 2, b"\x80")], "line 22, column 2: non-ASCII byte 0x80"),
+    ([(22, 2, b"\x80"), (21, 4, b"/")], "line 21, column 4: invalid character '/'"),
+    ([(21, 9, b"\xff"), (22, 1, b"/")], "line 21, column 9: non-ASCII byte 0xff"),
+])
+def test_threaded_reader_reports_bytes_outside_the_cells_in_a_middle_block(edits, message,
+                                                                           tmp_path, eight_workers):
+    # lines 21 and 22 are block 9 of 20, on worker 1
+    text = dumps_gtm1(gen_rid(ROWS, COLS, 0.5, 3)).encode("ascii")
+    for edit in edits:
+        text = _plant(text, *edit)
+    assert _read_error(tmp_path / "m.gtm1", text) == message
 
 
 @pytest.mark.parametrize("defects,message", [

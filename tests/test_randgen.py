@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pooltest import randgen
+from pooltest import core, randgen
 from pooltest.core import InputError, dumps_gtm1
 from pooltest.design import optimal_zero_prob
 from pooltest.randgen import gen_rid, gen_rrsd
@@ -156,13 +156,15 @@ def pools(monkeypatch):
 @pytest.mark.parametrize("m,n", [(1, 15), (1, 17), (2, 16), (3, 13), (7, 33), (9, 40), (5, 1)])
 def test_filler_matches_row_by_row_reference(threaded, model, param, m, n, monkeypatch, pools):
     monkeypatch.setattr(randgen, "_CHUNK_CELLS", 16)
+    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 1)
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1 if threaded else m * n + 1)
-    monkeypatch.setattr(randgen, "_worker_count", lambda: 4)
+    monkeypatch.setattr(core, "_worker_count", lambda: 4)
     param = min(param, n) if model == "rrsd" else param
     gen = gen_rid if model == "rid" else gen_rrsd
     matrix = gen(m, n, param, 41)
     assert np.array_equal(matrix.bits, _reference_bits(model, m, n, param, 41))
-    # m = 1 leaves one worker, which fills inline; m < 4 uses m workers
+    # every row is a block of its own, and a pool has at most one worker per
+    # block: m = 1 leaves one worker, which fills inline; m < 4 uses m workers
     assert pools == ([min(m, 4)] if threaded and m > 1 else [])
 
 
@@ -179,7 +181,7 @@ def test_threaded_fill_under_frequent_thread_switches(monkeypatch, pools):
     # the wrong worker or at the wrong offset would change the bits
     monkeypatch.setattr(randgen, "_CHUNK_CELLS", 8)
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
-    monkeypatch.setattr(randgen, "_worker_count", lambda: 8)
+    monkeypatch.setattr(core, "_worker_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -192,11 +194,12 @@ def test_threaded_fill_under_frequent_thread_switches(monkeypatch, pools):
 
 
 def test_single_cpu_fills_inline(monkeypatch, pools):
+    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 50)  # six one-row blocks
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
-    monkeypatch.setattr(randgen, "_worker_count", lambda: 1)
+    monkeypatch.setattr(core, "_worker_count", lambda: 1)
     inline = gen_rid(6, 50, 0.5, 3), gen_rrsd(6, 50, 5, 3)
     assert pools == []
-    monkeypatch.setattr(randgen, "_worker_count", lambda: 2)
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
     assert (gen_rid(6, 50, 0.5, 3), gen_rrsd(6, 50, 5, 3)) == inline
     assert pools == [2, 2]
 
@@ -206,7 +209,7 @@ def test_small_matrices_start_no_threads(pools):
     gen_rrsd(10, 10**4, 100, 1)
     assert pools == []
     matrix = gen_rid(64, 1 << 16, 0.5, 1)  # exactly 2^22 cells
-    assert pools == ([] if randgen._worker_count() == 1 else [min(64, randgen._worker_count())])
+    assert pools == ([] if core._worker_count() == 1 else [min(64, core._worker_count())])
     for j in (0, 63):
         assert np.array_equal(matrix.bits[j], np.packbits(rid_row(1, j, 1 << 16, 0.5)))
 
@@ -282,7 +285,7 @@ def test_fraction_reference_across_chunks_and_blocks(zero_prob, n, threaded, mon
     monkeypatch.setattr(randgen, "_CHUNK_CELLS", 16)
     monkeypatch.setattr(randgen, "_BLOCK_CELLS", 48)
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1 if threaded else 10**9)
-    monkeypatch.setattr(randgen, "_worker_count", lambda: 2)
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
     matrix = gen_rid(7, n, zero_prob, 3)
     expected = np.array([np.packbits(_fraction_row(3, j, n, zero_prob)) for j in range(7)])
     assert np.array_equal(matrix.bits, expected)
@@ -292,7 +295,7 @@ def test_threaded_blocks_under_frequent_thread_switches(monkeypatch, pools):
     # blocks of three 13-cell rows, strided over 8 workers
     monkeypatch.setattr(randgen, "_BLOCK_CELLS", 40)
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
-    monkeypatch.setattr(randgen, "_worker_count", lambda: 8)
+    monkeypatch.setattr(core, "_worker_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
