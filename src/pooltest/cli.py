@@ -188,19 +188,18 @@ def parse_answer_file(data: bytes | str, expected_m: int) -> np.ndarray:
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    if len(lines) != 1:
+    # the lines are counted, not split: a file of many lines costs no copies
+    lines = data.count(b"\n") + (data[-1:] not in (b"", b"\n"))
+    if lines != 1:
         raise ParseError(
-            f"answer file must hold exactly one line, found {len(lines)}",
-            line=max(2, len(lines)),
+            f"answer file must hold exactly one line, found {lines}", line=max(2, lines)
         )
-    raw = np.frombuffer(lines[0], dtype=np.uint8) - ord("0")
+    line = data.removesuffix(b"\n")
+    raw = np.frombuffer(line, dtype=np.uint8) - ord("0")
     bad = raw > 1
     col = int(np.argmax(bad)) + 1 if bad.any() else len(raw) + 1
     if col <= min(len(raw), expected_m + 1):
-        byte = lines[0][col - 1]
+        byte = line[col - 1]
         if byte > 127:
             raise ParseError(f"non-ASCII byte 0x{byte:02x}", line=1, column=col)
         raise ParseError(f"invalid answer character {chr(byte)!r}", line=1, column=col)

@@ -36,7 +36,10 @@ The codec runs one block loop, ``_each_block``, over blocks of about 2 MiB
 of rows. ``write_gtm1`` and ``dump_gtm1`` take a ``TestMatrix``, whose
 blocks are unpacked, or a seeded matrix of ``pooltest.randgen``, whose
 blocks are drawn as they are written. The reader checks each block in its
-read buffer and packs it.
+read buffer and packs it; a block only detects a defect. One sequential
+pass, ``_first_defect``, from the first failing block on (from row 1 for a
+file shorter than its header says), reports each defect, a block at a time:
+a bad file of any size costs a few blocks of memory.
 """
 
 from __future__ import annotations
@@ -513,79 +516,84 @@ def _read_header(f: BinaryIO) -> tuple[int, int, str, int]:
     return m, n, tag, seed
 
 
-def _first_defect(data: bytes, line: int, m: int, n: int) -> ParseError:
-    """The error for the first defect in ``data``.
+def _first_defect(f: BinaryIO, body: int, row: int, m: int, n: int,
+                  shared: int | None) -> ParseError:
+    """The error for the first defect in the rows of ``f`` from 0-based row
+    ``row`` on, whose rows before it are good.
 
-    ``data`` holds body bytes from the start of file line ``line`` and either
-    contains a malformed row or ends before row m does.
+    ``body`` is the offset of row 1 and ``shared`` row 1's weight in an RrSD
+    file, else None. One block of rows at a time, in file order, it names a
+    malformed row, a break of the RrSD rule, missing rows or, past m good
+    rows, bytes after row m; an overlong row is counted to its LF in blocks.
     """
-    width = n + 1
-    arr = np.frombuffer(data, dtype=np.uint8)
-    full = len(arr) // width
-    rows = arr[: full * width].reshape(full, width)
-    bad = (rows[:, n] != _LF) | ((rows[:, :n] - _ZERO) > 1).any(axis=1)
-    i = int(np.argmax(bad)) if bad.any() else full
-    line += i
-    row = arr[i * width : (i + 1) * width]
-    ok = (row - _ZERO) <= 1
-    ok[n:] = row[n:] == _LF
-    p = int(np.argmin(ok)) if not ok.all() else len(row)
-    if p == len(row):  # every byte is in place, but the data ends here
-        if p == 0:
-            return ParseError(f"expected {m} row lines, found {line - 2}", line=line)
-        return ParseError("missing trailing newline", line=line)
-    byte = int(row[p])
-    if p == n and byte in (_ZERO, _ONE):
-        end = data.find(b"\n", i * width)
-        length = (end if end >= 0 else len(data)) - i * width
-        return ParseError(f"expected {n} characters, got {length}", line=line, column=p + 1)
-    if byte == _LF:
-        return ParseError(f"expected {n} characters, got {p}", line=line, column=p + 1)
-    if byte > 127:
-        return ParseError(f"non-ASCII byte 0x{byte:02x}", line=line, column=p + 1)
-    return ParseError(f"invalid character {chr(byte)!r}", line=line, column=p + 1)
-
-
-def _check_row_weights(weights: np.ndarray, first: int, shared: int | None) -> None:
-    """RrSD rule for a block of rows from 0-based row ``first`` on.
-
-    Raises on the first row whose weight is 0 or differs from ``shared``,
-    row 1's weight; None when the block holds row 1.
-    """
-    if shared is None:
-        shared = int(weights[0])
-    bad = (weights == 0) | (weights != shared)
-    if bad.any():
-        j = int(np.argmax(bad))
-        weight, line = int(weights[j]), first + j + 2
-        if weight == 0:
-            raise ParseError("RrSD row has weight 0", line=line)
-        raise ParseError(
-            f"RrSD rows must share one weight: row 1 has {shared}, "
-            f"row {first + j + 1} has {weight}",
-            line=line,
-        )
+    width, rows = n + 1, _block_rows(m, n)
+    end = f.seek(0, io.SEEK_END)
+    f.seek(body + row * width)
+    for r in range(row, m, rows):
+        k = min(rows, m - r)
+        data = f.read(min(k * width, end - f.tell()))
+        arr = np.frombuffer(data, dtype=np.uint8)
+        full = len(arr) // width
+        blk = arr[: full * width].reshape(full, width)
+        cells = blk[:, :n] - _ZERO  # uint8 wraps: a byte below '0' is > 1 too
+        bad = malformed = (blk[:, n] != _LF) | (cells > 1).any(axis=1)
+        if shared is not None:  # RrSD: a well-formed row of weight 0 or not row 1's
+            weights = cells.sum(axis=1)
+            bad = malformed | (weights == 0) | (weights != shared)
+        i = int(np.argmax(bad)) if bad.any() else full
+        if i == k:  # a good block
+            continue
+        line = r + i + 2
+        if i < full and not malformed[i]:
+            if not weights[i]:
+                return ParseError("RrSD row has weight 0", line=line)
+            return ParseError(f"RrSD rows must share one weight: row 1 has {shared}, "
+                              f"row {r + i + 1} has {int(weights[i])}", line=line)
+        cut = arr[i * width : (i + 1) * width]
+        ok = (cut - _ZERO) <= 1
+        ok[n:] = cut[n:] == _LF
+        p = int(np.argmin(ok)) if not ok.all() else len(cut)
+        if p == len(cut):  # every byte is in place, but the file ends here
+            if p == 0:
+                return ParseError(f"expected {m} row lines, found {line - 2}", line=line)
+            return ParseError("missing trailing newline", line=line)
+        byte = int(cut[p])
+        if p == n and byte in (_ZERO, _ONE):  # the row runs on: count it to its LF
+            length, stop = -i * width, data.find(b"\n", i * width)
+            while stop < 0 and data:
+                length += len(data)
+                data = f.read(_BLOCK_BYTES)
+                stop = data.find(b"\n")
+            return ParseError(f"expected {n} characters, got {length + max(stop, 0)}",
+                              line=line, column=p + 1)
+        if byte == _LF:
+            return ParseError(f"expected {n} characters, got {p}", line=line, column=p + 1)
+        if byte > 127:
+            return ParseError(f"non-ASCII byte 0x{byte:02x}", line=line, column=p + 1)
+        return ParseError(f"invalid character {chr(byte)!r}", line=line, column=p + 1)
+    return ParseError(f"expected {m} row lines, found more", line=m + 2)
 
 
 def _decode(f: BinaryIO, fd: int | None = None) -> TestMatrix:
     """The matrix in ``f``, its rows moved through ``fd`` if it is not None
-    (see ``_each_block``)."""
+    (see ``_each_block``). The blocks only detect a defect: ``_first_defect``
+    names it."""
     if not f.seekable():
         f = io.BytesIO(f.read())
     m, n, tag, seed = _read_header(f)
     width = n + 1
     body = f.tell()
-    short = f.seek(0, io.SEEK_END) - body < m * width
+    size = f.seek(0, io.SEEK_END) - body
     f.seek(body)
-    if short:  # find the defect in the bytes that are there; allocate nothing for m x n
-        raise _first_defect(f.read(), 2, m, n)
+    shared = f.read(min(n, size)).count(b"1") if tag == "RrSD" else None  # row 1's weight
+    # a short file allocates nothing for m x n; a row 1 of weight 0 would pass
+    # the blocks' compare with it
+    if size < m * width or shared == 0:
+        raise _first_defect(f, body, 0, m, n, shared)
+    f.seek(body)
 
     bits = np.empty((m, (n + 7) // 8), dtype=np.uint8)
     rows = _block_rows(m, n)
-    # RrSD: the weight that all rows of a good block share, by block
-    weights = np.zeros(-(-m // rows), dtype=np.int64)
-    # a block with a defect, by first row: (the bytes read of it, malformed?)
-    defects = {}
 
     def make_step():
         buf = np.empty((rows, width), dtype=np.uint8)
@@ -595,46 +603,18 @@ def _decode(f: BinaryIO, fd: int | None = None) -> TestMatrix:
             view = memoryview(blk).cast("B")
             got = f.readinto(view) if fd is None else _pread(fd, view, body + r * width)
             np.subtract(cells, _ZERO, out=cells)  # in place: the cells become 0 and 1
-            if got < len(view) or (blk[:, n] != _LF).any() or cells.max() > 1:
-                np.add(cells, _ZERO, out=cells)  # the bytes as read: uint8 wraps both ways
-                defects[r] = (view[:got].tobytes(), True)
+            if (got < len(view) or (blk[:, n] != _LF).any() or cells.max() > 1
+                    or shared is not None and (cells.sum(axis=1) != shared).any()):
                 return False
-            if tag == "RrSD":
-                w = cells.sum(axis=1)
-                if not w[0] or (w != w[0]).any():  # well-formed, but not of one weight >= 1
-                    np.add(cells, _ZERO, out=cells)
-                    defects[r] = (view.tobytes(), False)
-                    return False
-                weights[r // rows] = w[0]
             bits[r : r + k] = np.packbits(cells, axis=1)
             return True
 
         return step
 
     stop = _each_block(m, rows, fd is not None, make_step)
-    shared = int(weights[0]) if stop else None  # RrSD: row 1's weight, if its block is good
-    if tag == "RrSD" and stop:  # the weight rule in row order, first over the good blocks
-        off = np.flatnonzero(weights[: -(-stop // rows)] != shared)
-        if len(off):  # a good block of another weight: its first row breaks the rule
-            _check_row_weights(weights[off[:1]], int(off[0]) * rows, shared)
-    if stop < m:
-        data, malformed = defects[stop]
-        good = len(data) // width
-        exc = None
-        if malformed:
-            # readline completes a last row that runs past the block
-            f.seek(body + stop * width + len(data))
-            exc = _first_defect(data + f.readline(), stop + 2, m, n)
-            good = exc.line - 2 - stop
-        # well-formed rows before it come first; a block without a malformed
-        # row holds a row of another weight, and raises here
-        if tag == "RrSD" and good:
-            cells = np.frombuffer(data, dtype=np.uint8)[: good * width].reshape(good, width)
-            _check_row_weights((cells[:, :n] - _ZERO).sum(axis=1), stop, shared)
-        raise exc
     f.seek(body + m * width)
-    if f.read(1):
-        raise ParseError(f"expected {m} row lines, found more", line=m + 2)
+    if stop < m or f.read(1):
+        raise _first_defect(f, body, stop, m, n, shared)
     return TestMatrix._adopt(m, n, bits, tag, seed)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,6 +488,8 @@ def test_answer_line_round_trip():
 @pytest.mark.parametrize("text,fragment", [
     ("0101\n", "expected 6"),
     ("010100\n0\n", "exactly one line"),
+    ("", "line 2: answer file must hold exactly one line, found 0"),
+    ("\n", "line 1, column 1: expected 6 answer characters, got 0"),
     ("01x100\n", "column 3"),
     ("01010\r\n", "column 6: invalid answer character"),
     ("010100\r\n", "column 7: invalid answer character"),
@@ -497,3 +500,17 @@ def test_answer_line_round_trip():
 def test_answer_parse_errors(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_answer_file(text, 6)
+
+
+def test_answer_file_of_many_lines_is_counted_not_split():
+    data = b"00\n" * 200_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_answer_file(data, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "line 200000: answer file must hold exactly one line, found 200000"
+    # splitting it would hold 200,000 bytes objects, about 40 bytes each
+    assert peak < len(data) // 8

@@ -3,6 +3,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -680,6 +681,92 @@ def test_threaded_reader_agrees_with_the_sequential_reader(matrix, block_rows, d
         assert str(threaded.value) == str(exc)
     else:
         assert read_gtm1(path) == expected
+
+
+@pytest.mark.parametrize("cut", [0, 1])
+def test_reader_checks_the_rrsd_weight_rule_before_a_short_files_end(cut, tmp_path, codec_workers):
+    # row 2 breaks the rule before the file ends, without row 3's LF or with it
+    text = b"GTM1 3 4 RrSD 0\n1100\n1110\n0011\n"
+    assert _read_error(tmp_path / "m.gtm1", text[: len(text) - cut]) == (
+        "line 3: RrSD rows must share one weight: row 1 has 2, row 2 has 3")
+
+
+def _truncation_cases(text: bytes, model: str):
+    """(data, expected) for ``text`` cut at every byte of its body: the cut
+    alone, then the cut after a defect planted two rows or more before it,
+    which the uncut file reports the same way."""
+    header = text.index(b"\n") + 1
+    plants = [(3, b"x"), (5, b"\n"), (10, b"1"), (1, b"\xe9")]
+    for cut in range(header, len(text)):
+        line, column = divmod(cut - header, COLS + 1)
+        line += 2
+        if column:
+            yield text[:cut], f"line {line}: missing trailing newline"
+        else:
+            yield text[:cut], f"line {line}: expected {ROWS} row lines, found {line - 2}"
+        if line >= 4:
+            at = 2 + cut % (line - 3)  # a line two or more before the cut
+            kind = cut % (len(plants) + (model == "rrsd"))
+            if kind < len(plants):
+                planted = _plant(text, at, *plants[kind])
+            else:  # RrSD: a row of another weight
+                planted = _flip(text, at, b"1" if cut % 2 else b"0")
+            yield planted[:cut], planted
+
+
+@pytest.mark.parametrize("model", ["rid", "rrsd"])
+def test_reader_reports_the_first_defect_of_a_file_cut_at_every_byte(model, tmp_path, monkeypatch,
+                                                                     codec_workers):
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * (COLS + 1))
+    matrix = gen_rid(ROWS, COLS, 0.5, 3) if model == "rid" else gen_rrsd(ROWS, COLS, 3, 5)
+    text = dumps_gtm1(matrix).encode("ascii")
+    path = tmp_path / "m.gtm1"
+    for data, expected in _truncation_cases(text, model):
+        if isinstance(expected, bytes):  # the uncut file, on every worker
+            expected = _read_error(path, expected)
+        assert _read_error(path, data) == expected, data
+
+
+def _peak_of_read(path) -> tuple[str, int]:
+    """The error of reading ``path`` and the peak of memory traced while reading it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            read_gtm1(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(exc.value), peak
+
+
+_SMALL_BLOCK = 1 << 14
+
+
+@pytest.mark.parametrize("model", ["rid", "rrsd"])
+def test_short_file_is_checked_in_a_few_blocks_of_memory(model, tmp_path, monkeypatch, codec_workers):
+    # 1 MiB of rows, 64 blocks of 16 KiB, cut one byte short
+    monkeypatch.setattr(core, "_BLOCK_BYTES", _SMALL_BLOCK)
+    m, n = 1 << 14, 63
+    matrix = gen_rid(m, n, 0.5, 3) if model == "rid" else gen_rrsd(m, n, 9, 5)
+    path = tmp_path / "m.gtm1"
+    path.write_bytes(dumps_gtm1(matrix).encode("ascii")[:-1])
+    message, peak = _peak_of_read(path)
+    assert message == f"line {m + 1}: missing trailing newline"
+    assert peak < 8 * _SMALL_BLOCK
+    # a header that claims far more than the file holds costs no more
+    path.write_bytes(b"GTM1 99999999999 99999999999 RrSD 0\n" + b"0110\n" * (1 << 10))
+    message, peak = _peak_of_read(path)
+    assert message == "line 2, column 5: expected 99999999999 characters, got 4"
+    assert peak < 8 * _SMALL_BLOCK
+
+
+def test_overlong_row_is_counted_in_a_few_blocks_of_memory(tmp_path, monkeypatch, codec_workers):
+    monkeypatch.setattr(core, "_BLOCK_BYTES", _SMALL_BLOCK)
+    path = tmp_path / "m.gtm1"
+    path.write_bytes(b"GTM1 2 3 RID 0\n" + b"1" * (1 << 20) + b"\n101\n")
+    message, peak = _peak_of_read(path)
+    assert message == f"line 2, column 4: expected 3 characters, got {1 << 20}"
+    assert peak < 8 * _SMALL_BLOCK
 
 
 def test_codec_moves_blocks_by_position_only_in_regular_files(tmp_path):
