@@ -36,10 +36,12 @@ The codec runs one block loop, ``_each_block``, over blocks of about 2 MiB
 of rows. ``write_gtm1`` and ``dump_gtm1`` take a ``TestMatrix``, whose
 blocks are unpacked, or a seeded matrix of ``pooltest.randgen``, whose
 blocks are drawn as they are written. The reader checks each block in its
-read buffer and packs it; a block only detects a defect. One sequential
-pass, ``_first_defect``, from the first failing block on (from row 1 for a
-file shorter than its header says), reports each defect, a block at a time:
-a bad file of any size costs a few blocks of memory.
+read buffer and packs it, a row wider than a block in pieces of a block;
+a block only detects a defect. One sequential pass, ``_first_defect``,
+from the first failing block on (from row 1 for a file shorter than its
+header says), reports each defect, a block or a piece at a time: a bad file
+of any size, or with rows of any width, costs a few blocks of memory beyond
+its packed bits.
 """
 
 from __future__ import annotations
@@ -301,15 +303,28 @@ def validate_items(items: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def validate_answers(matrix: TestMatrix, answers: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Normalize an answer vector to a length-m uint8 array of 0/1."""
+    """Normalize an answer vector to a length-m uint8 array of 0/1.
+
+    A value is accepted when it compares equal to 0 or 1, so 1.0, -0.0 and
+    1+0j are answers and 0.5, NaN and 2 are not. Text is never an answer:
+    an array of strings is refused before any compare, as comparing one with
+    a number is an error or a warning in some numpy versions.
+    """
     arr = np.asarray(answers)
     if arr.ndim != 1 or len(arr) != matrix.m:
         raise InputError(f"answer vector must have length m={matrix.m}, got {arr.shape}")
     if arr.dtype == bool:
         return arr.astype(np.uint8)
-    if not np.isin(arr, (0, 1)).all():
+    if arr.dtype.kind in "US":
         raise InputError("answers must be 0 or 1")
-    return arr.astype(np.uint8)
+    one = arr == 1
+    if not (one | (arr == 0)).all():
+        raise InputError("answers must be 0 or 1")
+    return one.view(np.uint8)
+
+
+# The bit of item i + 1 in byte i // 8 of a matrix row, by i % 8.
+_BIT = np.array([0x80 >> b for b in range(8)], np.uint8)
 
 
 def answer_vector(matrix: TestMatrix, items: Iterable[int]) -> np.ndarray:
@@ -317,12 +332,9 @@ def answer_vector(matrix: TestMatrix, items: Iterable[int]) -> np.ndarray:
 
     The empty set yields the all-zero vector.
     """
-    members = validate_items(items, matrix.n)
-    ans = np.zeros(matrix.m, dtype=np.uint8)
-    for item in members:
-        i = item - 1
-        ans |= (matrix.bits[:, i >> 3] >> (7 - (i & 7))) & 1
-    return ans
+    columns = np.array(validate_items(items, matrix.n), dtype=np.intp) - 1
+    cells = matrix.bits.take(columns >> 3, axis=1) & _BIT[columns & 7]
+    return cells.any(axis=1).view(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +369,8 @@ def _run_workers(workers: int, job: Callable[[int], None]) -> None:
 
 # Row bytes a worker encodes, or checks and packs, per block, in buffers of
 # its own. A 2 MiB block stays in cache, and the codec's working memory is a
-# few blocks per worker whatever the matrix size; one row wider than this is
-# one block.
+# few blocks per worker whatever the matrix size. One row wider than this is
+# one block: the writer takes it whole, the reader in pieces (``_row_piece``).
 _BLOCK_BYTES = 1 << 21
 # Cap on the header line, so a file without newlines is not read whole.
 _HEADER_BYTES = 1 << 16
@@ -368,6 +380,14 @@ _ZERO, _ONE, _LF = ord("0"), ord("1"), ord("\n")
 
 def _block_rows(m: int, n: int) -> int:
     return max(1, min(m, _BLOCK_BYTES // (n + 1)))
+
+
+def _row_piece(n: int) -> int:
+    """Bytes of a row the reader takes at a time: the whole row if it fits a
+    block, else a block's whole bytes of bits (8 cells each), so that a row
+    wider than a block, alone in its block, is read in pieces."""
+    width = n + 1
+    return width if width <= _BLOCK_BYTES else max(8, _BLOCK_BYTES & ~7)
 
 
 def _positional(f: BinaryIO) -> int | None:
@@ -522,55 +542,65 @@ def _first_defect(f: BinaryIO, body: int, row: int, m: int, n: int,
     ``row`` on, whose rows before it are good.
 
     ``body`` is the offset of row 1 and ``shared`` row 1's weight in an RrSD
-    file, else None. One block of rows at a time, in file order, it names a
-    malformed row, a break of the RrSD rule, missing rows or, past m good
-    rows, bytes after row m; an overlong row is counted to its LF in blocks.
+    file, else None. One block of rows, or one piece of a wide row
+    (``_row_piece``), at a time, in file order, it names a malformed row, a
+    break of the RrSD rule, missing rows or, past m good rows, bytes after
+    row m; an overlong row is counted to its LF in blocks.
     """
-    width, rows = n + 1, _block_rows(m, n)
+    width, rows, piece = n + 1, _block_rows(m, n), _row_piece(n)
     end = f.seek(0, io.SEEK_END)
     f.seek(body + row * width)
     for r in range(row, m, rows):
         k = min(rows, m - r)
-        data = f.read(min(k * width, end - f.tell()))
-        arr = np.frombuffer(data, dtype=np.uint8)
-        full = len(arr) // width
-        blk = arr[: full * width].reshape(full, width)
-        cells = blk[:, :n] - _ZERO  # uint8 wraps: a byte below '0' is > 1 too
-        bad = malformed = (blk[:, n] != _LF) | (cells > 1).any(axis=1)
-        if shared is not None:  # RrSD: a well-formed row of weight 0 or not row 1's
-            weights = cells.sum(axis=1)
-            bad = malformed | (weights == 0) | (weights != shared)
-        i = int(np.argmax(bad)) if bad.any() else full
-        if i == k:  # a good block
-            continue
-        line = r + i + 2
-        if i < full and not malformed[i]:
-            if not weights[i]:
-                return ParseError("RrSD row has weight 0", line=line)
-            return ParseError(f"RrSD rows must share one weight: row 1 has {shared}, "
-                              f"row {r + i + 1} has {int(weights[i])}", line=line)
-        cut = arr[i * width : (i + 1) * width]
-        ok = (cut - _ZERO) <= 1
-        ok[n:] = cut[n:] == _LF
-        p = int(np.argmin(ok)) if not ok.all() else len(cut)
-        if p == len(cut):  # every byte is in place, but the file ends here
-            if p == 0:
-                return ParseError(f"expected {m} row lines, found {line - 2}", line=line)
-            return ParseError("missing trailing newline", line=line)
-        byte = int(cut[p])
-        if p == n and byte in (_ZERO, _ONE):  # the row runs on: count it to its LF
-            length, stop = -i * width, data.find(b"\n", i * width)
-            while stop < 0 and data:
-                length += len(data)
-                data = f.read(_BLOCK_BYTES)
-                stop = data.find(b"\n")
-            return ParseError(f"expected {n} characters, got {length + max(stop, 0)}",
-                              line=line, column=p + 1)
-        if byte == _LF:
-            return ParseError(f"expected {n} characters, got {p}", line=line, column=p + 1)
-        if byte > 127:
-            return ParseError(f"non-ASCII byte 0x{byte:02x}", line=line, column=p + 1)
-        return ParseError(f"invalid character {chr(byte)!r}", line=line, column=p + 1)
+        weights = 0
+        for c in range(0, width, piece):  # one piece, unless a row is wider than a block
+            w = min(piece, width - c)
+            data = f.read(min(k * w, end - f.tell()))
+            arr = np.frombuffer(data, dtype=np.uint8)
+            full = len(arr) // w
+            blk = arr[: full * w].reshape(full, w)
+            cells = blk[:, : n - c] - _ZERO  # uint8 wraps: a byte below '0' is > 1 too
+            malformed = (cells > 1).any(axis=1)
+            if c + w > n:  # the rows' last piece, with their LFs
+                malformed |= blk[:, n - c] != _LF
+            bad = malformed
+            if shared is not None:
+                weights = weights + cells.sum(axis=1)
+                if c + w > n:  # RrSD: a well-formed row of weight 0 or not row 1's
+                    bad = malformed | (weights == 0) | (weights != shared)
+            i = int(np.argmax(bad)) if bad.any() else full
+            if i == k:  # good rows
+                continue
+            line = r + i + 2
+            if i < full and not malformed[i]:
+                if not weights[i]:
+                    return ParseError("RrSD row has weight 0", line=line)
+                return ParseError(f"RrSD rows must share one weight: row 1 has {shared}, "
+                                  f"row {r + i + 1} has {int(weights[i])}", line=line)
+            cut = arr[i * w : (i + 1) * w]
+            ok = (cut - _ZERO) <= 1
+            ok[n - c :] = cut[n - c :] == _LF
+            p = int(np.argmin(ok)) if not ok.all() else len(cut)
+            column = c + p  # 0-based, in the row
+            if p == len(cut):  # every byte is in place, but the file ends here
+                if column == 0:
+                    return ParseError(f"expected {m} row lines, found {line - 2}", line=line)
+                return ParseError("missing trailing newline", line=line)
+            byte = int(cut[p])
+            if column == n and byte in (_ZERO, _ONE):  # the row runs on: count it to its LF
+                length, stop = c - i * w, data.find(b"\n", i * w + p)
+                while stop < 0 and data:
+                    length += len(data)
+                    data = f.read(_BLOCK_BYTES)
+                    stop = data.find(b"\n")
+                return ParseError(f"expected {n} characters, got {length + max(stop, 0)}",
+                                  line=line, column=column + 1)
+            if byte == _LF:
+                return ParseError(f"expected {n} characters, got {column}", line=line,
+                                  column=column + 1)
+            if byte > 127:
+                return ParseError(f"non-ASCII byte 0x{byte:02x}", line=line, column=column + 1)
+            return ParseError(f"invalid character {chr(byte)!r}", line=line, column=column + 1)
     return ParseError(f"expected {m} row lines, found more", line=m + 2)
 
 
@@ -581,11 +611,13 @@ def _decode(f: BinaryIO, fd: int | None = None) -> TestMatrix:
     if not f.seekable():
         f = io.BytesIO(f.read())
     m, n, tag, seed = _read_header(f)
-    width = n + 1
+    width, piece = n + 1, _row_piece(n)
     body = f.tell()
     size = f.seek(0, io.SEEK_END) - body
     f.seek(body)
-    shared = f.read(min(n, size)).count(b"1") if tag == "RrSD" else None  # row 1's weight
+    shared = None
+    if tag == "RrSD":  # row 1's weight, a piece at a time
+        shared = sum(f.read(min(piece, n - c)).count(b"1") for c in range(0, min(n, size), piece))
     # a short file allocates nothing for m x n; a row 1 of weight 0 would pass
     # the blocks' compare with it
     if size < m * width or shared == 0:
@@ -596,18 +628,25 @@ def _decode(f: BinaryIO, fd: int | None = None) -> TestMatrix:
     rows = _block_rows(m, n)
 
     def make_step():
-        buf = np.empty((rows, width), dtype=np.uint8)
+        buf = np.empty(rows * piece, dtype=np.uint8)
 
         def step(r: int, k: int) -> bool:
-            blk, cells = buf[:k], buf[:k, :n]
-            view = memoryview(blk).cast("B")
-            got = f.readinto(view) if fd is None else _pread(fd, view, body + r * width)
-            np.subtract(cells, _ZERO, out=cells)  # in place: the cells become 0 and 1
-            if (got < len(view) or (blk[:, n] != _LF).any() or cells.max() > 1
-                    or shared is not None and (cells.sum(axis=1) != shared).any()):
-                return False
-            bits[r : r + k] = np.packbits(cells, axis=1)
-            return True
+            weights = 0
+            for c in range(0, width, piece):  # one piece, unless a row is wider than a block
+                w = min(piece, width - c)
+                blk = buf[: k * w].reshape(k, w)
+                cells = blk[:, : n - c]
+                view = memoryview(blk).cast("B")
+                got = f.readinto(view) if fd is None else _pread(fd, view, body + r * width + c)
+                np.subtract(cells, _ZERO, out=cells)  # in place: the cells become 0 and 1
+                if (got < len(view) or c + w > n and (blk[:, n - c] != _LF).any()
+                        or cells.size and cells.max() > 1):
+                    return False
+                if shared is not None:
+                    weights = weights + cells.sum(axis=1)
+                packed = np.packbits(cells, axis=1)
+                bits[r : r + k, c >> 3 : (c >> 3) + packed.shape[1]] = packed
+            return shared is None or not (weights != shared).any()
 
         return step
 

@@ -4,9 +4,13 @@ an exhaustive reference decoder.
 Elimination removes every item that appears in a negative test; it touches
 each matrix byte at most once (a single OR-reduction over the negative
 rows), so it runs in time linear in the bit-size of the matrix. The
-exhaustive phases share one subset scan, which packs the candidates' columns
-into 64-bit words and compares the ORs of whole blocks of candidate sets
-with the answers in single numpy operations.
+survivors are the 0 bits of that OR. Only its bytes that are not 0xFF are
+unpacked, few for a designed matrix, so reading them costs a compare over
+the row's n/8 bytes rather than an unpack of n bits. A decoder checks its
+answers once: ``eliminate`` checks them and hands them to the one survivor
+reader, ``_survivors``. The exhaustive phases share one subset scan, which
+packs the candidates' columns into 64-bit words and compares the ORs of
+whole blocks of candidate sets with the answers in single numpy operations.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .core import (
     BudgetExceededError,
     TestMatrix,
     validate_answers,
+    _BIT,
     _require_int,
 )
 
@@ -80,14 +85,29 @@ class DecodeOutcome:
     exhaustive_candidates: int
 
 
+def _survivors(matrix: TestMatrix, ans: np.ndarray) -> np.ndarray:
+    """0-based positions, ascending, of the items in no negative test of the
+    checked answer vector ``ans``.
+
+    The negative rows are ORed into one row. An item survives where its bit
+    of that row is 0, so only the row's bytes that are not 0xFF are
+    unpacked, and the padding bits past n, always 0, are dropped.
+    """
+    negative = matrix.bits.compress(ans == 0, axis=0)
+    if not len(negative):
+        return np.arange(matrix.n)
+    blocked = np.bitwise_or.reduce(negative, axis=0)
+    open_bytes = np.flatnonzero(blocked != 0xFF)
+    zeros = np.flatnonzero(np.unpackbits(blocked[open_bytes]) == 0)
+    positions = open_bytes[zeros >> 3] * 8 + (zeros & 7)
+    return positions[positions < matrix.n]
+
+
 def survivor_mask(matrix: TestMatrix, answers) -> np.ndarray:
     """Boolean length-n mask of items that appear in no negative test."""
-    ans = validate_answers(matrix, answers)
-    negative = matrix.bits[ans == 0]
-    if negative.shape[0] == 0:
-        return np.ones(matrix.n, dtype=bool)
-    blocked = np.bitwise_or.reduce(negative, axis=0)
-    return np.unpackbits(blocked, count=matrix.n) == 0
+    mask = np.zeros(matrix.n, dtype=bool)
+    mask[_survivors(matrix, validate_answers(matrix, answers))] = True
+    return mask
 
 
 def eliminate(matrix: TestMatrix, answers) -> tuple[int, ...]:
@@ -96,7 +116,7 @@ def eliminate(matrix: TestMatrix, answers) -> tuple[int, ...]:
     Whenever ``answers`` came from a true defective set I, the result
     contains I: no negative test can contain a defective item.
     """
-    return tuple((np.flatnonzero(survivor_mask(matrix, answers)) + 1).tolist())
+    return tuple((_survivors(matrix, validate_answers(matrix, answers)) + 1).tolist())
 
 
 def decode_disjunct(matrix: TestMatrix, answers) -> DecodeOutcome:
@@ -115,9 +135,6 @@ def decode_disjunct(matrix: TestMatrix, answers) -> DecodeOutcome:
         exhaustive_candidates=0,
     )
 
-
-# The bit of item i + 1 in byte i // 8 of a matrix row, by i % 8.
-_BIT = np.array([0x80 >> b for b in range(8)], np.uint8)
 
 # Rows of the largest tail table: one vector compare covers at most this
 # many candidate sets.
@@ -221,8 +238,7 @@ def decode_semidisjunct(
     property.
     """
     d = _require_int(d, "d", 1)
-    ans = validate_answers(matrix, answers)
-    survivors = eliminate(matrix, ans)
+    survivors = eliminate(matrix, answers)  # the one check of the answers
     eliminated = matrix.n - len(survivors)
     if len(survivors) <= d:
         return DecodeOutcome(
@@ -238,7 +254,8 @@ def decode_semidisjunct(
             f"exhaustive finish needs C({len(survivors)}, {d}) subset tests, "
             f"over the budget of {max_subset_tests}"
         )
-    found = next(_consistent_sets(matrix, survivors, ans, (d,)), None)
+    # the scan reads only which answers are not 0
+    found = next(_consistent_sets(matrix, survivors, np.asarray(answers), (d,)), None)
     return DecodeOutcome(
         status=NO_CONSISTENT_SET if found is None else DECODED,
         items=found,

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .core import (
     InputError,
     PROPERTIES,
@@ -20,7 +18,7 @@ from .core import (
     validate_items,
     _require_int,
 )
-from .decode import _consistent_sets, _require_desk_scale, survivor_mask
+from .decode import _consistent_sets, _require_desk_scale, _survivors
 
 __all__ = [
     "PropertyReport",
@@ -58,9 +56,9 @@ def non_disjunct_items(matrix: TestMatrix, items: Iterable[int]) -> tuple[int, .
     Exactly the clean items elimination cannot remove.
     """
     members = validate_items(items, matrix.n)
-    survivors = survivor_mask(matrix, answer_vector(matrix, members))
-    survivors[[i - 1 for i in members]] = False
-    return tuple((np.flatnonzero(survivors) + 1).tolist())
+    survivors = _survivors(matrix, answer_vector(matrix, members)) + 1
+    defective = set(members)
+    return tuple(i for i in survivors.tolist() if i not in defective)
 
 
 def is_disjunct(matrix: TestMatrix, items: Iterable[int]) -> bool:

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,107 @@ def test_answer_validation():
         validate_answers(m, [1, 0, 1])
     with pytest.raises(InputError):
         validate_answers(m, [1, 0, 2, 0])
+
+
+def reference_validate_answers(matrix, answers):
+    """The validator that the compares by dtype replaced: membership by ``np.isin``."""
+    arr = np.asarray(answers)
+    if arr.ndim != 1 or len(arr) != matrix.m:
+        raise InputError(f"answer vector must have length m={matrix.m}, got {arr.shape}")
+    if arr.dtype == bool:
+        return arr.astype(np.uint8)
+    if not np.isin(arr, (0, 1)).all():
+        raise InputError("answers must be 0 or 1")
+    return arr.astype(np.uint8)
+
+
+def reference_answer_vector(matrix, items):
+    """The answer vector built one item at a time, as before the one gather."""
+    ans = np.zeros(matrix.m, dtype=np.uint8)
+    for item in validate_items(items, matrix.n):
+        i = item - 1
+        ans |= (matrix.bits[:, i >> 3] >> (7 - (i & 7))) & 1
+    return ans
+
+
+_ANSWER_DTYPES = (bool, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                  np.uint64, np.float16, np.float32, np.float64, np.complex64, np.complex128,
+                  object)
+_ANSWER_VALUES = (0, 1, 2, -1, 0.0, -0.0, 1.0, 0.5, float("nan"), float("inf"), 1 + 0j, 1j,
+                  255, 256, -255, 2**40, True, None, "1", "0", b"1", "x")
+
+
+def _answer_inputs():
+    """Length-4 answer inputs of every kind, each holding one drawn value
+    among 0s and 1s, as arrays of every dtype the value casts to and as
+    lists; then arrays of strings and bytes."""
+    for value in _ANSWER_VALUES:
+        answers = [1, 0, value, 1]
+        yield answers
+        for dtype in _ANSWER_DTYPES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    arr = np.array(answers, dtype=dtype)
+                except (TypeError, ValueError, OverflowError):
+                    continue
+            # an object array holding a complex number: the old cast raised TypeError
+            if not (dtype is object and isinstance(value, complex)):
+                yield arr
+    yield from (np.array(["1", "0", "0", "1"]), np.array([b"1", b"0", b"0", b"1"]),
+                np.array(["1", "0", "1"]), [[1, 0, 0, 1]], np.ones((4, 1)), 1)
+
+
+def _outcome(validate, matrix, answers):
+    """(result dtype and values, or the InputError's message)."""
+    try:
+        out = validate(matrix, answers)
+    except InputError as exc:
+        return "InputError", str(exc)
+    return out.dtype.str, out.tolist()
+
+
+def test_answer_validation_accepts_and_rejects_as_the_isin_validator():
+    matrix = gen_rid(4, 6, 0.5, seed=0)
+    inputs = list(_answer_inputs())
+    accepted = 0
+    for answers in inputs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy 1.23 warns comparing text with numbers
+            expected = _outcome(reference_validate_answers, matrix, answers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(validate_answers, matrix, answers) == expected, repr(answers)
+        accepted += expected[0] == "|u1"
+    assert len(inputs) > 250 and 50 < accepted < len(inputs) - 100
+
+
+def test_answer_validation_reads_complex_answers_without_warning():
+    matrix = gen_rid(3, 6, 0.5, seed=0)
+    for answers in (np.array([1, 0, 1 + 0j]), np.array([1, 0, 1 + 0j], dtype=object)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_answers(matrix, answers).tolist() == [1, 0, 1]
+        with pytest.raises(InputError):
+            validate_answers(matrix, answers + 1j)
+
+
+def test_answer_validation_returns_a_new_array():
+    matrix = gen_rid(3, 6, 0.5, seed=0)
+    for answers in (np.array([1, 0, 1], np.uint8), np.array([True, False, True])):
+        out = validate_answers(matrix, answers)
+        out[0] = 0
+        assert answers[0] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 70), n=st.integers(1, 130), density=st.sampled_from((0.02, 0.3, 0.9)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_answer_vector_matches_the_per_item_loop(m, n, density, seed, data):
+    matrix = gen_rid(m, n, 1 - density, seed)
+    items = data.draw(st.sets(st.integers(1, n), max_size=min(n, 10)), label="items")
+    assert np.array_equal(answer_vector(matrix, items), reference_answer_vector(matrix, items))
+    assert answer_vector(matrix, items).dtype == np.uint8
 
 
 @settings(max_examples=60, deadline=None)
@@ -767,6 +869,68 @@ def test_overlong_row_is_counted_in_a_few_blocks_of_memory(tmp_path, monkeypatch
     message, peak = _peak_of_read(path)
     assert message == f"line 2, column 4: expected 3 characters, got {1 << 20}"
     assert peak < 8 * _SMALL_BLOCK
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(matrix=gtm1_matrices(), block=st.integers(1, 20), data=st.data())
+def test_rows_wider_than_a_block_read_in_pieces_as_whole_rows(matrix, block, data, tmp_path,
+                                                             monkeypatch, codec_workers):
+    # up to three bytes changed and the file maybe cut, read with blocks of
+    # 1 to 20 bytes: pieces of 8 or 16 cells, or rows in blocks of their own
+    text = bytearray(dumps_gtm1(matrix).encode("ascii"))
+    header = text.index(b"\n") + 1
+    for _ in range(data.draw(st.integers(0, 3), label="changes")):
+        pos = data.draw(st.integers(header, len(text) - 1), label="pos")
+        text[pos] = data.draw(st.sampled_from(b"01\nx\xe9"), label="value")
+    if data.draw(st.booleans(), label="cut"):
+        text = text[: data.draw(st.integers(header, len(text)), label="end")]
+    text += b"1" * data.draw(st.sampled_from((0, 0, 1, 40)), label="extra")
+    try:
+        expected = core._decode(io.BytesIO(bytes(text)))
+    except ParseError as exc:
+        expected = str(exc)
+    path = tmp_path / "m.gtm1"
+    path.write_bytes(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_BLOCK_BYTES", block)
+        for read in (lambda: read_gtm1(path), lambda: core._decode(io.BytesIO(bytes(text)))):
+            try:
+                got = read()
+            except ParseError as exc:
+                got = str(exc)
+            assert got == expected
+
+
+@pytest.mark.parametrize("model", ["rid", "rrsd"])
+@pytest.mark.parametrize("n", [96, 100])
+@pytest.mark.parametrize("block", [1, 8, 15, 16, 40])
+def test_rows_wider_than_a_block_round_trip(model, n, block, tmp_path, monkeypatch,
+                                            codec_workers):
+    # pieces of 8, 16 or 40 cells; at n = 96 the last piece of a row is its LF alone
+    matrix = gen_rid(9, n, 0.5, 3) if model == "rid" else gen_rrsd(9, n, 37, 5)
+    path = tmp_path / "m.gtm1"
+    write_gtm1(matrix, path)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+    assert read_gtm1(path) == matrix
+    assert parse_gtm1(path.read_text()) == matrix
+
+
+_WIDE = 1 << 25  # a 32 MiB row: 16 blocks
+
+
+@pytest.mark.parametrize("case", ["rrsd", "bad byte"])
+def test_a_row_wider_than_a_block_is_checked_in_a_few_blocks_of_memory(case, tmp_path):
+    path = tmp_path / "m.gtm1"
+    if case == "rrsd":  # row 1's weight is counted and the row checked a block at a time
+        path.write_bytes(b"GTM1 2 %d RrSD 0\n" % _WIDE + b"1" * _WIDE)
+        message = "line 2: missing trailing newline"
+    else:  # a full-size file fails the packing pass near its end, then is named
+        path.write_bytes(b"GTM1 1 %d RID 0\n" % _WIDE + b"0" * (_WIDE - 3) + b"x01\n")
+        message = f"line 2, column {_WIDE - 2}: invalid character 'x'"
+    got, peak = _peak_of_read(path)
+    assert got == message
+    assert peak < 8 * core._BLOCK_BYTES
 
 
 def test_codec_moves_blocks_by_position_only_in_regular_files(tmp_path):

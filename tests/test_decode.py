@@ -6,20 +6,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pooltest import decode
-from pooltest.core import BudgetExceededError, InputError, TestMatrix, answer_vector
+from pooltest.core import (
+    BudgetExceededError,
+    InputError,
+    PoolTestError,
+    TestMatrix,
+    answer_vector,
+    validate_items,
+)
 from pooltest.decode import (
     AMBIGUOUS,
     DECODED,
     NO_CONSISTENT_SET,
+    DecodeOutcome,
     _consistent_sets,
+    _require_desk_scale,
     decode_disjunct,
     decode_semidisjunct,
     decode_separable_bruteforce,
     eliminate,
+    survivor_mask,
 )
 from pooltest.design import disjunct_test_count, semidisjunct_test_count
 from pooltest.randgen import gen_rid
-from pooltest.verify import check_property, is_disjunct
+from pooltest.verify import check_property, is_disjunct, non_disjunct_items
+from test_core import reference_answer_vector, reference_validate_answers
 
 
 def naive_eliminate(matrix, answers):
@@ -303,3 +314,118 @@ def test_consistent_sets_over_fifty_candidates_of_size_four():
     expected = literal_filter(dense, candidates, answers, [4])
     assert len(expected) > 1
     assert list(_consistent_sets(matrix, candidates, answers, [4])) == expected
+
+
+# ---------------------------------------------------------------------------
+# Survivors read from the OR of the negative rows, against the full unpack
+# ---------------------------------------------------------------------------
+
+def reference_survivor_mask(matrix, answers):
+    """The mask as built before survivors were read from the OR's open bytes:
+    every bit of the OR unpacked."""
+    ans = reference_validate_answers(matrix, answers)
+    negative = matrix.bits[ans == 0]
+    if negative.shape[0] == 0:
+        return np.ones(matrix.n, dtype=bool)
+    blocked = np.bitwise_or.reduce(negative, axis=0)
+    return np.unpackbits(blocked, count=matrix.n) == 0
+
+
+def reference_eliminate(matrix, answers):
+    return tuple((np.flatnonzero(reference_survivor_mask(matrix, answers)) + 1).tolist())
+
+
+def reference_non_disjunct_items(matrix, items):
+    members = validate_items(items, matrix.n)
+    survivors = reference_survivor_mask(matrix, reference_answer_vector(matrix, members))
+    survivors[[i - 1 for i in members]] = False
+    return tuple((np.flatnonzero(survivors) + 1).tolist())
+
+
+def reference_decode(decoder, matrix, answers, d, budget):
+    """The three decoders on the reference check and survivors, and the one subset scan."""
+    ans = reference_validate_answers(matrix, answers)
+    if decoder == "bruteforce":
+        _require_desk_scale("bruteforce decode", matrix.n, d)
+        hits = _consistent_sets(matrix, range(1, matrix.n + 1), ans, range(d + 1))
+        first = next(hits, None)
+        count = (first is not None) + sum(1 for _ in hits)
+        return DecodeOutcome(DECODED if count == 1 else AMBIGUOUS if count else NO_CONSISTENT_SET,
+                             first if count == 1 else None, count, 0, matrix.n)
+    survivors = reference_eliminate(matrix, ans)
+    eliminated = matrix.n - len(survivors)
+    if decoder == "disjunct" or len(survivors) <= d:
+        return DecodeOutcome(DECODED, survivors, 1, eliminated, 0)
+    if math.comb(len(survivors), d) > budget:
+        raise BudgetExceededError(f"exhaustive finish needs C({len(survivors)}, {d}) subset "
+                                  f"tests, over the budget of {budget}")
+    found = next(_consistent_sets(matrix, survivors, ans, (d,)), None)
+    return DecodeOutcome(NO_CONSISTENT_SET if found is None else DECODED, found,
+                         int(found is not None), eliminated, len(survivors))
+
+
+def _result(call):
+    try:
+        return call()
+    except PoolTestError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def elimination_instances(draw):
+    """(matrix, defective set, answers, d): m <= 70, n <= 130, often not a
+    multiple of 8. Sparse matrices and all-positive answers leave 50 or more
+    survivors; all-negative answers leave only empty columns. The answers
+    come as a list or as an array of one of four dtypes."""
+    m = draw(st.integers(1, 70))
+    n = draw(st.integers(1, 130) | st.sampled_from((7, 8, 9, 63, 64, 65, 127, 128, 129)))
+    density = draw(st.sampled_from((0.01, 0.05, 0.3, 0.7)))
+    matrix = gen_rid(m, n, 1 - density, draw(st.integers(0, 2**32 - 1)))
+    items = tuple(sorted(draw(st.sets(st.integers(1, n), max_size=min(n, 5)))))
+    answers = answer_vector(matrix, items)
+    kinds = ("set", "set plus noise", "random", "all positive", "all negative")
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("set plus noise", "random"):
+        noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(m) < 0.5
+        answers = (answers | noise if kind == "set plus noise" else noise).astype(np.uint8)
+    elif kind != "set":
+        answers = np.full(m, kind == "all positive", dtype=np.uint8)
+    form = draw(st.sampled_from((np.uint8, bool, np.int64, np.float64, list)))
+    answers = answers.tolist() if form is list else answers.astype(form)
+    return matrix, items, answers, draw(st.integers(1, 4))
+
+
+def _assert_matches_the_references(matrix, items, answers, d):
+    mask = survivor_mask(matrix, answers)
+    assert mask.dtype == bool and np.array_equal(mask, reference_survivor_mask(matrix, answers))
+    assert eliminate(matrix, answers) == reference_eliminate(matrix, answers)
+    assert non_disjunct_items(matrix, items) == reference_non_disjunct_items(matrix, items)
+    budget = 2000  # a wide residue is refused, by both, before its scan
+    for decoder, call in (
+        ("disjunct", lambda: decode_disjunct(matrix, answers)),
+        ("semidisjunct", lambda: decode_semidisjunct(matrix, answers, d, budget)),
+        ("bruteforce", lambda: decode_separable_bruteforce(matrix, answers, min(d, 3))),
+    ):
+        size = min(d, 3) if decoder == "bruteforce" else d
+        expected = _result(lambda: reference_decode(decoder, matrix, answers, size, budget))
+        assert _result(call) == expected, decoder
+
+
+@settings(max_examples=400, deadline=None)
+@given(elimination_instances())
+def test_survivors_match_the_full_unpack(instance):
+    _assert_matches_the_references(*instance)
+
+
+@pytest.mark.parametrize("n", [61, 64, 100, 127, 130])
+def test_survivors_match_the_full_unpack_on_wide_residues(n):
+    # sparse rows, a fifth of them negative: 50 or more of n items survive
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        m = int(rng.integers(5, 71))
+        matrix = gen_rid(m, n, 0.995, int(rng.integers(2**32)))
+        items = tuple(sorted(int(i) + 1 for i in rng.choice(n, size=3, replace=False)))
+        answers = np.ones(m, dtype=np.uint8)
+        answers[rng.permutation(m)[: m // 5]] = 0
+        assert (answers == 0).any() and len(eliminate(matrix, answers)) >= 50
+        _assert_matches_the_references(matrix, items, answers, 2)
