@@ -302,15 +302,24 @@ def validate_items(items: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# What np.asarray raises for a ragged sequence: numpy 1.24 on refuses it with
+# ValueError; 1.23 warns, and where the warning is an error, raises it.
+_RAGGED = (ValueError, getattr(np, "exceptions", np).VisibleDeprecationWarning)
+
+
 def validate_answers(matrix: TestMatrix, answers: Sequence[int] | np.ndarray) -> np.ndarray:
     """Normalize an answer vector to a length-m uint8 array of 0/1.
 
     A value is accepted when it compares equal to 0 or 1, so 1.0, -0.0 and
     1+0j are answers and 0.5, NaN and 2 are not. Text is never an answer:
     an array of strings is refused before any compare, as comparing one with
-    a number is an error or a warning in some numpy versions.
+    a number is an error or a warning in some numpy versions. So is a ragged
+    sequence, such as ``[1, [0, 1], 1]``.
     """
-    arr = np.asarray(answers)
+    try:
+        arr = np.asarray(answers)
+    except _RAGGED:
+        raise InputError("answers must be a flat sequence of 0s and 1s") from None
     if arr.ndim != 1 or len(arr) != matrix.m:
         raise InputError(f"answer vector must have length m={matrix.m}, got {arr.shape}")
     if arr.dtype == bool:

@@ -1,7 +1,6 @@
 import io
 import os
 import re
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -25,6 +24,7 @@ from pooltest.core import (
     validate_items,
     write_gtm1,
 )
+from pooltest.decode import eliminate
 from pooltest.design import make_design, nested_pair_rate, rid_equal_answer_prob
 from pooltest.randgen import gen_rid, gen_rrsd
 
@@ -146,6 +146,16 @@ def test_answer_validation_accepts_and_rejects_as_the_isin_validator():
             assert _outcome(validate_answers, matrix, answers) == expected, repr(answers)
         accepted += expected[0] == "|u1"
     assert len(inputs) > 250 and 50 < accepted < len(inputs) - 100
+
+
+@pytest.mark.parametrize("answers", [[1, [0, 1], 1], [[1], [0, 1], [1]], [1, np.zeros(2), 1]])
+def test_ragged_answers_raise_input_error(answers):
+    # numpy refuses a ragged sequence with its own ValueError (1.24 on) or
+    # warning (1.23); the decoders' callers catch the package's errors
+    with pytest.raises(InputError, match="^answers must be a flat sequence of 0s and 1s$"):
+        eliminate(TestMatrix.identity(3), answers)
+    with pytest.raises(InputError, match="flat sequence"):
+        validate_answers(TestMatrix.identity(3), answers)
 
 
 def test_answer_validation_reads_complex_answers_without_warning():
@@ -474,27 +484,6 @@ def reference_parse(text: str) -> TestMatrix:
                 line=j + 2,
             )
     return matrix
-
-
-@pytest.fixture
-def codec_workers(monkeypatch):
-    """Up to 8 codec workers, switching threads every microsecond; the
-    worker count of each block loop run."""
-    started = []
-    run_workers = core._run_workers
-
-    def counting(workers, job):
-        started.append(workers)
-        run_workers(workers, job)
-
-    monkeypatch.setattr(core, "_run_workers", counting)
-    monkeypatch.setattr(core, "_worker_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield started
-    finally:
-        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("model", ["rid", "rrsd"])

@@ -1,5 +1,7 @@
+import io
 import math
 import sys
+import tracemalloc
 from concurrent import futures
 from fractions import Fraction
 from itertools import combinations
@@ -356,3 +358,90 @@ def test_binomial_p_value_rejects_a_shifted_count():
     assert _two_sided_binomial_p(round(cells * p), cells, p) > 0.9
     assert _two_sided_binomial_p(round(cells * p + 4.5 * sigma), cells, p) < ALPHA
     assert _two_sided_binomial_p(round(cells * p - 4.5 * sigma), cells, p) < ALPHA
+
+
+# ---------------------------------------------------------------------------
+# the rows' seed states against numpy's SeedSequence
+# ---------------------------------------------------------------------------
+
+# seeds of one to seven uint32 words: from four words on, with the row's word,
+# SeedSequence mixes the entropy past its pool of four in an extra loop
+STATE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 10**30, 2**200 + 7] + [
+    int(s) for s in np.random.default_rng(20261019).integers(0, 2**63, 6)]
+
+
+def _reference_states(seed, rows):
+    return np.array([np.random.SeedSequence([seed, j]).generate_state(4, np.uint64) for j in rows])
+
+
+@pytest.mark.parametrize("seed", STATE_SEEDS)
+@pytest.mark.parametrize("model,param", [("rid", 0.6), ("rrsd", 1)])
+def test_row_seeds_equal_seed_sequence(seed, model, param):
+    # a matrix of 2^32 + 2 rows, not drawn: runs of rows from row 0, within
+    # the span just derived, across span boundaries, at 2^16 among them, and
+    # into the row indices of two uint32 words
+    matrix = randgen.seeded_matrix(model, 2**32 + 2, 1, param, seed)
+    runs = [(0, 3), (2, 4), (randgen._SPAN_ROWS - 1, 2), (2**16 - 1, 3), (2**32 - 2, 4), (1, 1)]
+    for start, count in runs:
+        rows = range(start, start + count)
+        states = [s.generate_state(4, np.uint64) for s in matrix._row_seeds(start, count)]
+        assert np.array_equal(states, _reference_states(seed, rows)), (start, count)
+        words = [bits.random_raw(3) for bits in matrix._streams(start, count)]
+        assert np.array_equal(words, [_row_rng(seed, j).bit_generator.random_raw(3) for j in rows])
+
+
+def test_row_states_cover_seeds_of_any_width():
+    for seed in [2**96 - 1, 2**96, 3**100, 2**1000 + 1]:
+        for start in (0, 2**32, 2**64 + 7):
+            rows = range(start, start + 5)
+            assert np.array_equal(randgen._row_states(seed, start, start + 5),
+                                  _reference_states(seed, rows)), (seed, start)
+
+
+def test_row_seed_serves_pcg64_alone():
+    state = randgen._row_states(7, 3, 4)[0]
+    seed = randgen._row_seed_type()(state)
+    assert np.array_equal(seed.generate_state(4, np.uint64), state)
+    assert np.array_equal(seed.generate_state(4, "uint64"), state)
+    for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64)]:
+        with pytest.raises(ValueError):
+            seed.generate_state(n_words, dtype)
+
+
+@pytest.mark.parametrize("seed", STATE_SEEDS)
+def test_threaded_draws_and_writes_equal_seed_sequence_rows(seed, monkeypatch, tmp_path, pools,
+                                                            codec_workers):
+    # spans of 4 rows and one-row groups and blocks, drawn and written on 8
+    # workers that switch every microsecond: each worker derives the spans
+    # of its own rows, and a row with the state of another row, or of
+    # another seed, would change the bits
+    m, n = 11, 13
+    monkeypatch.setattr(randgen, "_SPAN_ROWS", 4)
+    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
+    monkeypatch.setattr(core, "_BLOCK_BYTES", n + 1)
+    path = tmp_path / "m.gtm1"
+    for model, param in [("rid", 0.6), ("rrsd", 3)]:
+        expected = _reference_bits(model, m, n, param, seed)
+        matrix = randgen.seeded_matrix(model, m, n, param, seed)
+        assert np.array_equal(matrix.draw().bits, expected)
+        core.write_gtm1(matrix, path)
+        assert np.array_equal(core.read_gtm1(path).bits, expected)
+    # per model: the draw, the threaded write and the read
+    assert pools == [8] * 6 and codec_workers == [8] * 6
+
+
+@pytest.mark.parametrize("model,param,m", [("rid", 0.6, 1 << 16), ("rrsd", 1, 1 << 15)])
+def test_tall_matrix_is_written_with_the_states_of_one_span(model, param, m, monkeypatch):
+    # spans of 2^10 rows: the states of every row would take m x 32 bytes,
+    # a span's 32 KiB, and the pass that derives them about three times that
+    monkeypatch.setattr(randgen, "_SPAN_ROWS", 1 << 10)
+    matrix = randgen.seeded_matrix(model, m, 1, param, 5)
+    gen_rid(1, 1, 0.5, 5)  # numpy.random is imported on first use, not counted here
+    tracemalloc.start()
+    try:
+        core.dump_gtm1(matrix, io.BytesIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * 32 // 2, peak
