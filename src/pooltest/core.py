@@ -34,10 +34,11 @@ within a row the column, of its first defect in file order. ``write`` after
 
 The codec runs one block loop, ``_each_block``, over blocks of about 2 MiB
 of rows. ``write_gtm1`` and ``dump_gtm1`` take a ``TestMatrix``, whose
-blocks are unpacked, or a seeded matrix of ``pooltest.randgen``, whose
-blocks are drawn as they are written. The reader checks each block in its
-read buffer and packs it, a row wider than a block in pieces of a block;
-a block only detects a defect. One sequential pass, ``_first_defect``,
+packed blocks are copied, or a seeded matrix of ``pooltest.randgen``, whose
+packed blocks are drawn as they are written, and unpack each block to text,
+a row wider than a block in pieces of a block. The reader checks each block
+in its read buffer and packs it, a wide row in pieces too; a block only
+detects a defect. One sequential pass, ``_first_defect``,
 from the first failing block on (from row 1 for a file shorter than its
 header says), reports each defect, a block or a piece at a time: a bad file
 of any size, or with rows of any width, costs a few blocks of memory beyond
@@ -223,9 +224,9 @@ class TestMatrix:
         _require_int(row, "row", 0, self.m - 1)
         return tuple((np.flatnonzero(np.unpackbits(self.bits[row], count=self.n)) + 1).tolist())
 
-    def _fill_cells(self, r: int, k: int, out: np.ndarray) -> None:
-        """Cells of the k rows from 0-based row r on, into the boolean (k, n) ``out``."""
-        out.view(np.uint8)[...] = np.unpackbits(self.bits[r : r + k], axis=1, count=self.n)
+    def _fill_bits(self, r: int, k: int, out: np.ndarray) -> None:
+        """The packed k rows from 0-based row r on, into the uint8 (k, ceil(n/8)) ``out``."""
+        out[...] = self.bits[r : r + k]
 
     def row_weights(self) -> np.ndarray:
         """Number of items in each test."""
@@ -379,7 +380,7 @@ def _run_workers(workers: int, job: Callable[[int], None]) -> None:
 # Row bytes a worker encodes, or checks and packs, per block, in buffers of
 # its own. A 2 MiB block stays in cache, and the codec's working memory is a
 # few blocks per worker whatever the matrix size. One row wider than this is
-# one block: the writer takes it whole, the reader in pieces (``_row_piece``).
+# one block, which the writer and the reader take in pieces (``_row_piece``).
 _BLOCK_BYTES = 1 << 21
 # Cap on the header line, so a file without newlines is not read whole.
 _HEADER_BYTES = 1 << 16
@@ -392,9 +393,9 @@ def _block_rows(m: int, n: int) -> int:
 
 
 def _row_piece(n: int) -> int:
-    """Bytes of a row the reader takes at a time: the whole row if it fits a
+    """Bytes of a row the codec takes at a time: the whole row if it fits a
     block, else a block's whole bytes of bits (8 cells each), so that a row
-    wider than a block, alone in its block, is read in pieces."""
+    wider than a block, alone in its block, is read and written in pieces."""
     width = n + 1
     return width if width <= _BLOCK_BYTES else max(8, _BLOCK_BYTES & ~7)
 
@@ -458,12 +459,15 @@ def _dump(matrix, f: BinaryIO, fd: int | None) -> None:
     it is not None (see ``_each_block``).
 
     ``matrix`` is a ``TestMatrix`` or any other m x n matrix with a
-    ``model_tag``, a ``seed`` and ``_fill_cells(r, k, out)``, which puts the
-    cells of its k rows from row r on into the boolean (k, n) array ``out``:
-    a seeded matrix of ``pooltest.randgen`` draws them there, so it is
-    written without ever being held whole.
+    ``model_tag``, a ``seed`` and ``_fill_bits(r, k, out)``, which puts its
+    k rows from row r on, packed as ``TestMatrix.bits`` holds them, into the
+    uint8 (k, ceil(n/8)) array ``out``: a seeded matrix of
+    ``pooltest.randgen`` draws them there, so it is written without ever
+    being held whole. Each block is expanded to text with one unpack and
+    one add, a row wider than a block in pieces of a block (``_row_piece``).
     """
     m, n = matrix.m, matrix.n
+    width, piece = n + 1, _row_piece(n)
     header = f"GTM1 {m} {n} {matrix.model_tag} {matrix.seed}\n".encode("ascii")
     f.write(header)
     if fd is not None:
@@ -471,17 +475,24 @@ def _dump(matrix, f: BinaryIO, fd: int | None) -> None:
     rows = _block_rows(m, n)
 
     def make_step():
-        buf = np.empty((rows, n + 1), dtype=np.uint8)
-        buf[:, n] = _LF
+        packed = np.empty((rows, (n + 7) // 8), dtype=np.uint8)
+        buf = np.empty(rows * piece, dtype=np.uint8)
 
         def step(r: int, k: int) -> bool:
-            blk, cells = buf[:k], buf[:k, :n]
-            matrix._fill_cells(r, k, cells.view(bool))
-            np.add(cells, _ZERO, out=cells)
-            if fd is None:
-                f.write(memoryview(blk))
-            else:
-                _pwrite(fd, memoryview(blk).cast("B"), len(header) + r * (n + 1))
+            matrix._fill_bits(r, k, packed[:k])
+            for c in range(0, width, piece):  # one piece, unless a row is wider than a block
+                w = min(piece, width - c)
+                blk = buf[: k * w].reshape(k, w)
+                cells = blk[:, : n - c]
+                count = cells.shape[1]
+                bits = packed[:k, c >> 3 : (c + count + 7) >> 3]
+                np.add(np.unpackbits(bits, axis=1, count=count), _ZERO, out=cells)
+                if c + w > n:  # the rows' last piece, with their LFs
+                    blk[:, n - c] = _LF
+                if fd is None:
+                    f.write(memoryview(blk))
+                else:
+                    _pwrite(fd, memoryview(blk).cast("B"), len(header) + r * width + c)
             return True
 
         return step

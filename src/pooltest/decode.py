@@ -28,6 +28,7 @@ from .core import (
     TestMatrix,
     validate_answers,
     _BIT,
+    _BLOCK_BYTES,
     _require_int,
 )
 
@@ -89,14 +90,19 @@ def _survivors(matrix: TestMatrix, ans: np.ndarray) -> np.ndarray:
     """0-based positions, ascending, of the items in no negative test of the
     checked answer vector ``ans``.
 
-    The negative rows are ORed into one row. An item survives where its bit
-    of that row is 0, so only the row's bytes that are not 0xFF are
+    The negative rows are ORed into one row, in slabs of at most a GTM1
+    block of bytes, so no copy of them all is made. An item survives where
+    its bit of that row is 0, so only the row's bytes that are not 0xFF are
     unpacked, and the padding bits past n, always 0, are dropped.
     """
-    negative = matrix.bits.compress(ans == 0, axis=0)
+    negative = np.flatnonzero(ans == 0)
     if not len(negative):
         return np.arange(matrix.n)
-    blocked = np.bitwise_or.reduce(negative, axis=0)
+    bits = matrix.bits
+    slab = max(1, _BLOCK_BYTES // bits.shape[1])
+    blocked = np.zeros(bits.shape[1], np.uint8)
+    for s in range(0, len(negative), slab):
+        blocked |= np.bitwise_or.reduce(bits.take(negative[s : s + slab], axis=0), axis=0)
     open_bytes = np.flatnonzero(blocked != 0xFF)
     zeros = np.flatnonzero(np.unpackbits(blocked[open_bytes]) == 0)
     positions = open_bytes[zeros >> 3] * 8 + (zeros & 7)

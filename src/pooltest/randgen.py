@@ -10,40 +10,52 @@ a span of up to 2^14 rows comes from one vectorised uint32 pass of
 ``SeedSequence``'s entropy hash and mixing, one array lane per row (see
 ``_row_states``), and each row's ``PCG64`` is seeded from its lane.
 
-A rid row reads its generator's raw PCG64 output (``random_raw``) as a
-stream of bytes, each 64-bit word little-endian, and decides each cell by
-an exact lazy comparison of a uniform U in [0, 1) against ``zero_prob`` in
-base 256. Let z1 z2 ... zK be the base-256 digits of the exact double value
-of ``zero_prob``:
+A rid row reads its generator's raw PCG64 output (``random_raw``) and
+decides each cell by an exact lazy comparison of a uniform U in [0, 1)
+against ``zero_prob`` (Knuth and Yao's exact sampler), reading only the bits
+of U the cell needs. Let z1 z2 ... zK be the base-256 digits of the exact
+double value of ``zero_prob``. Round 1 reads L bits of each cell's U, where
+L is the number of binary digits of ``zero_prob`` when K = 1 (1, 2 and 3 for
+0.5, 0.75 and 0.875; ``zero_prob`` = z1/256 has at most 8), and 8 otherwise;
+T is the number the first L bits of ``zero_prob`` make, z1 >> (8 - L):
 
-* round 1 draws ceil(n/8) words, and byte i decides cell i: the cell is 1 if
-  the byte is greater than z1, 0 if it is less, and tied if it equals z1;
-* round k draws ceil(t/8) further words, where t cells are still tied, and
-  gives one byte to each tied cell in column order, compared with zk;
-* a cell still tied after zK is 1, because then U >= zero_prob; so when
-  K = 1, as for 0.5, 0.75 or 0.875, a cell is 1 exactly when its byte is at
-  least z1, and a row draws round 1 alone.
+* the cells are taken 64 at a time: cell word w (cells 64w .. 64w + 63)
+  reads the L raw words w*L .. w*L + L - 1, plane 1 first, and plane l
+  gives bit l of each cell's U, the first being the most significant;
+* a cell's bit sits at the same place in every plane: cell i is bit
+  7 - (i mod 8) of byte floor(i/8) of the word read little-endian, the
+  layout of a packed row, so each bitwise compare of the planes makes
+  eight bytes of the packed row at once, and the bits past n are cleared;
+* a cell whose L bits make a number above T is 1, one below T is 0; an
+  equal one is 1 when K = 1, because then U >= ``zero_prob``, and tied
+  otherwise (then L = 8 and T = z1);
+* after round 1 of the whole row, round k = 2, 3, ... draws ceil(t/8)
+  further words, where t cells are still tied, and gives one byte to each
+  tied cell in column order, compared with zk as round 1 compared with z1;
+  a cell still tied after zK is 1.
 
-So P[cell is 0] equals ``zero_prob`` exactly, and a cell takes one byte with
-probability 255/256. The rid stream depends only on ``SeedSequence`` and
+So P[cell is 0] equals ``zero_prob`` exactly, and a row at 0.75 reads two
+raw words per 64 cells. The rid stream depends only on ``SeedSequence`` and
 PCG64's raw output, which NumPy's stream policy (NEP 19) keeps stable across
 versions, unlike ``Generator.random``. A rrsd row is ``Generator.choice``
 without replacement, which that policy does not cover.
 
 ``seeded_matrix`` gives a matrix that is not drawn yet, and one row drawer
-per model draws any block of its rows into a boolean buffer. Two sinks share
-it, and both run ``core._each_block``: ``draw()``, behind ``gen_rid`` and
-``gen_rrsd``, packs each block into a ``TestMatrix``, and
-``core.write_gtm1`` / ``core.dump_gtm1`` write each block as GTM1 text as it
-is drawn, so ``pooltest generate`` never holds the matrix. ``draw()`` splits
-a matrix of at least 2^22 cells across a thread pool with one worker per CPU
-the process may run on; a smaller one is drawn inline, where starting
-threads would cost more than they save. A rid drawer draws round 1 short
-rows several at a time, in groups of about 2^16 cells and at most 2^8 rows,
-and a wider row in chunks of 2^18 cells. Ties are broken only after a row's
-round 1 is complete, so the bits do not depend on the number of workers,
-the chunk, group, block or span size or the order in which rows are drawn:
-each row equals the row drawn whole, alone, from its own generator.
+per model draws any block of its rows, packed, into a (k, ceil(n/8)) uint8
+array, as ``TestMatrix.bits`` holds them. Two sinks share it, and both run
+``core._each_block``: ``draw()``, behind ``gen_rid`` and ``gen_rrsd``, draws
+each block straight into the matrix's bits, and ``core.write_gtm1`` /
+``core.dump_gtm1`` expand each block to GTM1 text as it is drawn, so
+``pooltest generate`` never holds the matrix. ``draw()`` splits a matrix of
+at least 2^22 cells across a thread pool with one worker per CPU the
+process may run on; a smaller one is drawn inline, where starting threads
+would cost more than they save. A rid drawer draws round 1 of short rows
+several at a time, in groups of about 2^14 raw words and at most 2^8 rows,
+and a wider row in chunks of 2^18 cells, whole 64-cell words. Ties are
+broken only after a row's round 1 is complete, so the bits do not depend on
+the number of workers, the chunk, group, block or span size or the order in
+which rows are drawn: each row equals the row drawn whole, alone, from its
+own generator.
 """
 
 from __future__ import annotations
@@ -54,21 +66,23 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import MODELS, InputError, TestMatrix, _each_block, _require_int, _require_open_unit
+from .core import (MODELS, InputError, TestMatrix, _BIT, _each_block, _require_int,
+                   _require_open_unit)
 
 __all__ = ["gen_rid", "gen_rrsd", "seeded_matrix"]
 
 # Matrices with fewer cells than this are drawn on the calling thread.
 _PARALLEL_CELLS = 1 << 22
 # Cells per rid round-1 draw from one row; a wider row is drawn in chunks of
-# this many cells, a multiple of 8, so that every chunk takes whole words.
-# Calls this long let two workers overlap; with 2^16-cell chunks they spent
-# their time handing the interpreter lock back and forth.
+# this many cells, whole 64-cell words, so that every chunk takes whole words
+# of each plane. Calls this long let two workers overlap; with 2^16-cell
+# chunks they spent their time handing the interpreter lock back and forth.
 _CHUNK_CELLS = 1 << 18
 # Rows of at most _CHUNK_CELLS cells are drawn in groups of several rows, of
-# about this many cells: one numpy call per group, not per row, and small
-# buffers, which leave little memory behind in the workers' malloc arenas.
-_BLOCK_CELLS = 1 << 16
+# about this many raw words (128 KiB; 2^19 cells at two planes, 2^17 at
+# eight): one numpy call per group, not per row, and small buffers, which
+# leave little memory behind in the workers' malloc arenas.
+_GROUP_WORDS = 1 << 14
 # Rows in one group at most, so that a group of short rows holds a bounded
 # number of per-row generators (about 650 bytes each).
 _GROUP_ROWS = 1 << 8
@@ -95,13 +109,16 @@ def _uint32_words(x: int) -> list[int]:
     return words
 
 
+@functools.cache
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The constants of ``count`` successive hashes as a (count + 1, 1)
+    """The constants of ``count`` successive hashes as a read-only (count + 1, 1)
     column: hash i XORs its word with entry i and multiplies by entry i + 1."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, np.uint32)[:, None]
+    column = np.array(consts, np.uint32)[:, None]
+    column.setflags(write=False)
+    return column
 
 
 def _hash(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -192,28 +209,68 @@ def _digits(zero_prob: float) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _raw_bytes(bits: np.random.BitGenerator, count: int) -> np.ndarray:
-    """The next ``count`` bytes of a row's stream: ceil(count/8) raw words, little-endian."""
-    return bits.random_raw((count + 7) >> 3).astype("<u8", copy=False).view(np.uint8)[:count]
+def _plane_count(digits: tuple[int, ...]) -> int:
+    """L, the bits of U that round 1 reads: every binary digit of ``zero_prob``
+    if it has one base-256 digit, else 8."""
+    z1 = digits[0]
+    return 8 - ((z1 & -z1).bit_length() - 1) if len(digits) == 1 else 8
 
 
-def _break_ties(bits: np.random.BitGenerator, cells: np.ndarray, tied: np.ndarray,
-                digits: tuple[int, ...]) -> None:
-    """Decide the cells at the columns ``tied``, whose round-1 byte equalled z1."""
+def _break_ties(streams: list, tied: np.ndarray, n: int, digits: tuple[int, ...]) -> np.ndarray:
+    """The cells among ``tied`` that the later rounds decide as 1.
+
+    ``tied`` holds the cells of a group of rows whose round-1 bits were z1,
+    as row * n + column, ascending; ``streams`` are the rows' generators.
+    Round k gives each cell still tied in a row, in column order, one byte
+    of the next ceil(t/8) raw words of the row's stream, t such cells, and
+    compares it with zk.
+    """
+    ones = []
     for digit in digits[1:]:
-        u = _raw_bytes(bits, len(tied))
-        cells[tied[u > digit]] = True
+        count = np.bincount(tied // n, minlength=len(streams)).tolist()
+        u = np.concatenate([_cell_bytes(streams[i].random_raw((t + 7) >> 3))[:t]
+                            for i, t in enumerate(count) if t])
+        ones.append(tied[u > digit])
         tied = tied[u == digit]
         if not len(tied):
-            return
-    cells[tied] = True
+            break
+    else:
+        ones.append(tied)
+    return np.concatenate(ones)
+
+
+def _round_one(planes: np.ndarray, threshold: tuple[int, ...], exact: bool
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The ones and the ties of round 1 as packed cell words, from the (..., L)
+    raw words ``planes``: each cell's L bits against ``threshold``, T's bits
+    from the most significant. An equal cell is 1 if ``exact``, else tied."""
+    ones = None  # the cells above T so far, if any
+    equal = planes[..., 0] if threshold[0] else ~planes[..., 0]
+    if not threshold[0]:
+        ones = planes[..., 0]
+    for l in range(1, len(threshold)):
+        plane = planes[..., l]
+        if threshold[l]:
+            equal = equal & plane
+        else:
+            above = equal & plane
+            ones = above if ones is None else ones | above
+            equal = equal ^ above
+    if exact:
+        ones = equal if ones is None else ones | equal
+    return np.zeros_like(equal) if ones is None else ones, equal
+
+
+def _cell_bytes(words: np.ndarray) -> np.ndarray:
+    """Packed cell words as the bytes of packed rows: each word little-endian."""
+    return np.ascontiguousarray(words, "<u8").view(np.uint8)
 
 
 class SeededMatrix:
     """An m x n matrix of a seeded model, given by its parameters and drawn
     a block of rows at a time, each row from its own stream.
 
-    ``draw()`` packs it into a ``TestMatrix``; ``core.write_gtm1`` and
+    ``draw()`` gives the ``TestMatrix``; ``core.write_gtm1`` and
     ``core.dump_gtm1`` write each block as it is drawn, so the matrix is
     never held whole. Both take the same bits.
     """
@@ -243,27 +300,24 @@ class SeededMatrix:
         of ``default_rng(SeedSequence([seed, row]))``, in the same state."""
         return map(np.random.PCG64, self._row_seeds(r, k))
 
-    def _fill_cells(self, r: int, k: int, out: np.ndarray) -> None:
-        """Rows r .. r + k - 1 into the boolean (k, n) array ``out``."""
+    def _fill_bits(self, r: int, k: int, out: np.ndarray) -> None:
+        """Rows r .. r + k - 1, packed, into the uint8 (k, ceil(n/8)) array ``out``."""
         raise NotImplementedError
 
     def draw(self) -> TestMatrix:
         """The packed matrix. One of at least 2^22 cells is drawn on one
         worker per CPU, each taking every workers-th block of rows."""
-        m, n, rows = self.m, self.n, self._rows
+        m, n = self.m, self.n
         bits = np.empty((m, (n + 7) // 8), dtype=np.uint8)
 
         def make_step():
-            cells = np.empty((rows, n), dtype=bool)
-
             def step(r: int, k: int) -> bool:
-                self._fill_cells(r, k, cells[:k])
-                bits[r : r + k] = np.packbits(cells[:k], axis=1)
+                self._fill_bits(r, k, bits[r : r + k])
                 return True
 
             return step
 
-        _each_block(m, rows, m * n >= _PARALLEL_CELLS, make_step)
+        _each_block(m, self._rows, m * n >= _PARALLEL_CELLS, make_step)
         return TestMatrix._adopt(m, n, bits, self.model_tag, self.seed)
 
 
@@ -273,11 +327,13 @@ class _Rid(SeededMatrix):
     def __init__(self, m: int, n: int, zero_prob: float, seed: int):
         super().__init__(m, n, seed)
         self._digits = _digits(_require_open_unit(zero_prob, "zero_prob"))
-        group = min(_GROUP_ROWS, max(1, _BLOCK_CELLS // self.n))
-        self._rows = group if self.n <= _CHUNK_CELLS else 1
+        planes = _plane_count(self._digits)
+        self._threshold = tuple(self._digits[0] >> (7 - l) & 1 for l in range(planes))
         self._width = min(self.n, _CHUNK_CELLS)
+        group = _GROUP_WORDS // (planes * -(-self.n // 64))
+        self._rows = min(_GROUP_ROWS, max(1, group)) if self.n <= _CHUNK_CELLS else 1
 
-    def _fill_cells(self, r: int, k: int, out: np.ndarray) -> None:
+    def _fill_bits(self, r: int, k: int, out: np.ndarray) -> None:
         for a in range(0, k, self._rows):
             b = min(k, a + self._rows)
             self._draw_group(range(r + a, r + b), out[a:b])
@@ -285,31 +341,29 @@ class _Rid(SeededMatrix):
     def _draw_group(self, rows: range, block: np.ndarray) -> None:
         """Rows of at most ``_rows``: one chunk each if there are several."""
         n, width, digits = self.n, self._width, self._digits
-        z1 = digits[0]
         exact = len(digits) == 1  # zero_prob is z1/256: no cell is left tied
+        planes = len(self._threshold)
         streams = list(self._streams(rows.start, len(rows)))
         tied = []
         for c in range(0, n, width):
             w = min(width, n - c)
-            raw = [bits.random_raw((w + 7) >> 3) for bits in streams]
-            words = raw[0] if len(raw) == 1 else np.concatenate(raw)
-            u = words.astype("<u8", copy=False).view(np.uint8).reshape(len(raw), -1)[:, :w]
-            if exact:
-                np.greater_equal(u, z1, out=block[:, c : c + w])
-                continue
-            np.greater(u, z1, out=block[:, c : c + w])
-            at = np.flatnonzero(u == z1)
-            if len(at):
-                row_of, column = np.divmod(at, w)
-                tied.append((row_of, column + c))
-        if tied:
+            words = -(-w // 64)
+            raw = [bits.random_raw(words * planes) for bits in streams]
+            raw = raw[0] if len(raw) == 1 else np.concatenate(raw)
+            ones, equal = _round_one(raw.reshape(len(rows), words, planes), self._threshold, exact)
+            block[:, c >> 3 : (c + w + 7) >> 3] = _cell_bytes(ones)[:, : (w + 7) >> 3]
+            if not exact and equal.any():
+                # as row * n + column: several rows are one chunk, c = 0 and w = n
+                cells = np.unpackbits(_cell_bytes(equal), axis=1, count=w).view(bool)
+                tied.append(np.flatnonzero(cells) + c)
+        if n % 8:
+            block[:, -1] &= 0xFF & (0xFF << (8 - n % 8))
+        tied = np.concatenate(tied) if tied else ()
+        if len(tied):
             # a group of several rows is one chunk, so the ties come in row
             # order, and in column order within a row
-            row_of, column = (np.concatenate(part) for part in zip(*tied))
-            ends = np.searchsorted(row_of, np.arange(len(rows) + 1)).tolist()
-            for i, (a, b) in enumerate(zip(ends, ends[1:])):
-                if a < b:
-                    _break_ties(streams[i], block[i], column[a:b], digits)
+            row_of, column = np.divmod(_break_ties(streams, tied, n, digits), n)
+            np.bitwise_or.at(block, (row_of, column >> 3), _BIT[column & 7])
 
 
 class _Rrsd(SeededMatrix):
@@ -320,11 +374,12 @@ class _Rrsd(SeededMatrix):
         super().__init__(m, n, seed)
         self._weight = _require_int(row_weight, "row_weight", 1, self.n)
 
-    def _fill_cells(self, r: int, k: int, out: np.ndarray) -> None:
-        out.fill(False)
+    def _fill_bits(self, r: int, k: int, out: np.ndarray) -> None:
         for i, bits in enumerate(self._streams(r, k)):
             rng = np.random.Generator(bits)  # default_rng's, on the row's stream
-            out[i, rng.choice(self.n, size=self._weight, replace=False)] = True
+            columns = rng.choice(self.n, size=self._weight, replace=False)
+            # the columns are distinct, so a byte's sum of their bits is their OR
+            out[i] = np.bincount(columns >> 3, _BIT[columns & 7], out.shape[1])
 
 
 def seeded_matrix(model: str, m: int, n: int, param, seed: int) -> SeededMatrix:

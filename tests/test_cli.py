@@ -212,19 +212,22 @@ def test_generate_rrsd_rows(tmp_path):
 # SHA-256 of the GTM1 bytes `generate` writes. The rrsd digests were taken
 # before the block-wise codec replaced the per-row one, and while rows were
 # still drawn one by one. The rid digests were re-pinned when rid rows moved
-# to the byte-threshold stream (see pooltest.randgen), a deliberate change of
-# the random stream; they must not change again by accident. The last two
-# matrices hold at least 2^22 cells, so their rows are drawn on a thread pool.
+# to the bit-plane stream (see pooltest.randgen), which reads only the bits
+# of each cell's uniform that the cell needs: 2 at zero_prob 0.75, 8 and
+# later bytes for ties at 0.55. It was a deliberate change of the random
+# stream, as the byte-threshold stream before it was; the digests must not
+# change again by accident. The last two matrices hold at least 2^22 cells,
+# so their rows are drawn on a thread pool.
 GOLDEN_GENERATE = [
     (("--n", "10000", "--d", "4", "--delta", "0.1", "--property", "semi", "--seed", "17"),
-     "5a779349d528fb6b1f27ad69f7db5415e8b4aa0ed69826ea410e25dd00285b73"),
+     "e343ad22d40a945b6ec377d588ebff19042b57caeb0dad51c081a7db6b267eb3"),
     (("--model", "rrsd", "--n", "5000", "--d", "3", "--delta", "0.1",
       "--property", "disjunct", "--seed", "23"),
      "13da0a76b9006a36e7eb5f02cd019fb91ba2a1454fb9ebd0c445f864c055cbc6"),
     (("--n", "1001", "--m", "37", "--zero-prob", "0.55", "--seed", "29"),
-     "d2fccbd24f16be50fe2c1848089651f6487e674c6f893ce354841cc5efcbda8f"),
+     "678fb7198fea0680cc8b63c6a65b5317b167e75d82177e77d40798f535fb71c9"),
     (("--n", "100000", "--m", "64", "--zero-prob", "0.75", "--seed", "31"),
-     "cbdf46cda5b3522ea6f6e6daa6ab3e8df8b1c3f79eb1a72aed9912f0e8c7ffd4"),
+     "836b56010b1a4cbfbebd41ec84ee3e201d84bff20f97ae1a9af4c1663f079e37"),
     (("--model", "rrsd", "--n", "100000", "--m", "64", "--row-weight", "20000",
       "--seed", "37"),
      "6cf839602470b8c46ece1f61a619935fd59f7bc4f14b08da31588890c5577a5a"),

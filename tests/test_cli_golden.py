@@ -4,7 +4,8 @@ A refactor of the command line keeps these bytes. Each command runs in
 process, in one working directory that holds the matrices and answer files
 below, so no output depends on where the test runs. The expectations live in
 ``golden_cli.json``; after a deliberate output change, regenerate them with
-``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_cli_golden.py``, which prints the argv of
+every entry whose exit code, stdout or stderr changed, and review the diff.
 """
 
 from __future__ import annotations
@@ -163,7 +164,13 @@ def test_cli_output_is_golden(index, golden, workdir, monkeypatch):
 
 if __name__ == "__main__":
     os.environ.pop("POOLTEST_SEED", None)
+    previous = {json.dumps(entry["argv"]): entry for entry in json.loads(GOLDEN.read_text())}
     with tempfile.TemporaryDirectory() as tmp:
         make_files(Path(tmp))
         records = [run(argv) for argv in COMMANDS]
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+    changed = [record["argv"] for record in records
+               if previous.get(json.dumps(record["argv"])) != record]
+    for argv in changed:  # new entries, and those whose code, stdout or stderr changed
+        print("changed:", " ".join(argv))
+    print(f"{len(changed)} of {len(records)} entries changed")

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import re
@@ -511,23 +512,27 @@ def test_gtm1_codec_matches_reference(model, n, block_rows, monkeypatch, tmp_pat
     assert codec_workers == [1, 1, blocks, 1, blocks]
 
 
-# 0.875 has one base-256 digit; 0.7 and 1/3 leave ties for later rounds
+# 0.875 has one base-256 digit and takes 3 planes; 0.7 and 1/3 take 8 and
+# leave ties for later rounds
 DRAWN = [("rid", 0.875), ("rid", 0.7), ("rid", 1 / 3), ("rrsd", 3)]
+# rows of 13 cells in a group of 16 raw words, by model and parameter
+GROUP_ROWS = {("rid", 0.875): 5, ("rid", 0.7): 2, ("rid", 1 / 3): 2, ("rrsd", 3): 1}
 
 
 @pytest.mark.parametrize("model,param", DRAWN)
-@pytest.mark.parametrize("m,n", [(7, 13), (7, 41), (3, 41)])
+@pytest.mark.parametrize("m,n", [(7, 13), (7, 161), (3, 161)])
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 @pytest.mark.parametrize("threaded", [False, True])
 def test_drawn_matrix_writes_the_bytes_of_the_packed_one(model, param, m, n, block_rows, threaded,
                                                          monkeypatch, tmp_path, codec_workers):
-    # 16-cell chunks split a 41-cell row in three; 13-cell rows are drawn two
-    # at a time, so a block of 3 rows takes a group of 2 and one of 1. A
-    # string is written inline, a file on one worker per block, up to 8: 7
-    # one-row blocks take 7 workers, and 3 rows, fewer than the workers, take
-    # 3. The packed matrix is drawn inline, or on one worker per group.
-    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 16)
-    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 26)
+    # 64-cell chunks split a 161-cell row in three; 13-cell rows are drawn
+    # in groups of 16 raw words, two at a time at 8 planes, so a block of 3
+    # rows takes a group of 2 and one of 1. A string is written inline, a
+    # file on one worker per block, up to 8: 7 one-row blocks take 7
+    # workers, and 3 rows, fewer than the workers, take 3. The packed matrix
+    # is drawn inline, or on one worker per group.
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 64)
+    monkeypatch.setattr(randgen, "_GROUP_WORDS", 16)
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1 if threaded else 10**9)
     monkeypatch.setattr(core, "_BLOCK_BYTES", block_rows * (n + 1))
     gen = gen_rid if model == "rid" else gen_rrsd
@@ -544,7 +549,7 @@ def test_drawn_matrix_writes_the_bytes_of_the_packed_one(model, param, m, n, blo
     assert path.read_bytes() == expected
     assert read_gtm1(path) == drawn.draw()
     blocks = -(-m // block_rows)
-    groups = -(-m // 2) if (model, n) == ("rid", 13) else m
+    groups = -(-m // GROUP_ROWS[model, param]) if n == 13 else m
     gen_workers = groups if threaded else 1
     # the generator's loop, then a file, the generator's again, a string, a
     # file, the reader and the generator's
@@ -920,6 +925,61 @@ def test_a_row_wider_than_a_block_is_checked_in_a_few_blocks_of_memory(case, tmp
     got, peak = _peak_of_read(path)
     assert got == message
     assert peak < 8 * core._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("model,param", DRAWN)
+@pytest.mark.parametrize("n", [96, 100, 161])
+@pytest.mark.parametrize("block", [1, 8, 15, 16, 40])
+def test_rows_wider_than_a_block_are_written_in_pieces(model, param, n, block, tmp_path,
+                                                       monkeypatch, codec_workers):
+    # pieces of 8, 16 or 40 cells, against whole rows in one block; at
+    # n = 96 the last piece of a row is its LF alone
+    matrix = randgen.seeded_matrix(model, 5, n, param, 23)
+    whole_path, path = tmp_path / "whole.gtm1", tmp_path / "m.gtm1"
+    write_gtm1(matrix, whole_path)
+    whole = whole_path.read_bytes()
+    assert whole == reference_dumps(matrix.draw()).encode("ascii")
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+    for source in (matrix, matrix.draw()):
+        stream = io.BytesIO()
+        core.dump_gtm1(source, stream)
+        assert stream.getvalue() == whole
+        write_gtm1(source, path)
+        assert path.read_bytes() == whole
+
+
+class _HashSink:
+    """A binary file that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.hash.update(data)
+        return len(data)
+
+
+@pytest.mark.parametrize("source", ["packed", "rid"])
+def test_a_row_wider_than_a_block_is_written_in_a_few_blocks_of_memory(source):
+    # a 32 MiB row of text, 16 blocks: a packed row costs its copy and two
+    # blocks, a drawn row the same
+    if source == "packed":
+        bits = np.random.default_rng(3).integers(0, 256, (1, _WIDE // 8), np.uint8)
+        matrix = TestMatrix(1, _WIDE, bits)
+    else:
+        matrix = randgen.seeded_matrix("rid", 1, _WIDE, 0.75, 3)
+        gen_rid(1, 1, 0.5, 5)  # numpy.random is imported on first use, not counted here
+    sink = _HashSink()
+    tracemalloc.start()
+    try:
+        core.dump_gtm1(matrix, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _WIDE // 8 + 3 * core._BLOCK_BYTES, peak
+    whole = _HashSink()
+    whole.write(reference_dumps(matrix if source == "packed" else matrix.draw()).encode("ascii"))
+    assert sink.hash.digest() == whole.hash.digest()
 
 
 def test_codec_moves_blocks_by_position_only_in_regular_files(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -415,6 +416,40 @@ def _assert_matches_the_references(matrix, items, answers, d):
 @given(elimination_instances())
 def test_survivors_match_the_full_unpack(instance):
     _assert_matches_the_references(*instance)
+
+
+@pytest.mark.parametrize("block", [1, 9, 40, 1 << 21])
+def test_negative_rows_are_ored_in_slabs(block, monkeypatch):
+    # slabs of one row, of a few rows with a short last one, and of them all,
+    # against the OR of one copy of every negative row
+    monkeypatch.setattr(decode, "_BLOCK_BYTES", block)
+    rng = np.random.default_rng(block)
+    for n in (1, 9, 64, 100):
+        for _ in range(10):
+            m = int(rng.integers(1, 60))
+            matrix = gen_rid(m, n, 0.97, int(rng.integers(2**32)))
+            answers = (rng.random(m) < 0.5).astype(np.uint8)
+            expected = reference_survivor_mask(matrix, answers)
+            assert np.array_equal(survivor_mask(matrix, answers), expected)
+
+
+def test_elimination_copies_at_most_a_slab_of_negative_rows(monkeypatch):
+    # 750 negative rows of 10,000 bytes: one copy of them all is 7.5 MB, a
+    # slab of 64 KiB is 6 rows
+    monkeypatch.setattr(decode, "_BLOCK_BYTES", 1 << 16)
+    m, n = 1000, 80_000
+    matrix = gen_rid(m, n, 0.995, 7)
+    answers = np.zeros(m, np.uint8)
+    answers[::4] = 1
+    expected = reference_survivor_mask(matrix, answers)
+    tracemalloc.start()
+    try:
+        mask = survivor_mask(matrix, answers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(mask, expected) and 0 < mask.sum() < n
+    assert peak < 4 * (1 << 16) + 4 * n, peak
 
 
 @pytest.mark.parametrize("n", [61, 64, 100, 127, 130])

@@ -22,16 +22,54 @@ def _row_rng(seed, row_index):
     return np.random.default_rng(np.random.SeedSequence([seed, row_index]))
 
 
+def _plane_count(zero_prob):
+    """L: the binary digits of zero_prob if it is a multiple of 1/256, else 8."""
+    p = Fraction(zero_prob)
+    return next((bits for bits in range(1, 9) if (p * 2**bits).denominator == 1), 8)
+
+
 def rid_row(seed, row_index, n, zero_prob):
-    """One independent-cell row as a boolean vector; P[cell is 0] = zero_prob."""
-    digits = randgen._digits(zero_prob)
+    """Row ``row_index`` by the stream's specification, in exact arithmetic,
+    as a boolean vector; P[cell is 0] = zero_prob.
+
+    Round 1 reads the first L bits of each cell's uniform U: cell i takes
+    bit 8 * (i % 64 // 8) + 7 - i % 8 of raw words w*L .. w*L + L - 1, for
+    w = i // 64, the first of them giving U's most significant bit. Every
+    later round gives one new byte to each undecided cell, in column order:
+    the little-endian bytes of the next ceil(t/8) raw words for t undecided
+    cells. Once U is known to lie in [low, low + width), the cell is 0 if
+    that interval lies below zero_prob, and 1 once low reaches it.
+    """
     bits = _row_rng(seed, row_index).bit_generator
-    u = randgen._raw_bytes(bits, n)
-    row = u > digits[0]
-    tied = np.flatnonzero(u == digits[0])
-    if len(tied):
-        randgen._break_ties(bits, row, tied, digits)
-    return row
+    p = Fraction(zero_prob)
+    planes = _plane_count(zero_prob)
+    raw = bits.random_raw(-(-n // 64) * planes).tolist()
+    x = [0] * n  # each cell's first L bits of U, as a number
+    for i in range(n):
+        word, shift = i // 64 * planes, 8 * (i % 64 // 8) + 7 - i % 8
+        for plane in range(planes):
+            x[i] = x[i] << 1 | raw[word + plane] >> shift & 1
+    width = Fraction(1, 2**planes)
+    low = [v * width for v in range(2**planes)]  # round 1 has 2^L outcomes
+    verdicts = [False if at + width <= p else True if at >= p else None for at in low]
+    cells = [verdicts[v] for v in x]
+    undecided = [i for i in range(n) if cells[i] is None]
+    low = {i: low[x[i]] for i in undecided}
+    while undecided:
+        words = bits.random_raw((len(undecided) + 7) // 8).tolist()
+        data = b"".join(w.to_bytes(8, "little") for w in words)
+        width /= 256
+        still = []
+        for col, byte in zip(undecided, data):
+            low[col] += byte * width
+            if low[col] + width <= p:
+                cells[col] = False
+            elif low[col] >= p:
+                cells[col] = True
+            else:
+                still.append(col)
+        undecided = still
+    return np.array(cells, dtype=bool)
 
 
 def rrsd_row(seed, row_index, n, row_weight):
@@ -155,10 +193,11 @@ def pools(monkeypatch):
 
 @pytest.mark.parametrize("threaded", [False, True])
 @pytest.mark.parametrize("model,param", [("rid", 0.6), ("rrsd", 3)])
-@pytest.mark.parametrize("m,n", [(1, 15), (1, 17), (2, 16), (3, 13), (7, 33), (9, 40), (5, 1)])
+@pytest.mark.parametrize("m,n", [(1, 15), (1, 130), (2, 64), (3, 13), (7, 65), (9, 200), (5, 1)])
 def test_filler_matches_row_by_row_reference(threaded, model, param, m, n, monkeypatch, pools):
-    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 16)
-    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 1)
+    # one-row groups, and 64-cell chunks that split the rows wider than 64
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 64)
+    monkeypatch.setattr(randgen, "_GROUP_WORDS", 1)
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1 if threaded else m * n + 1)
     monkeypatch.setattr(core, "_worker_count", lambda: 4)
     param = min(param, n) if model == "rrsd" else param
@@ -170,18 +209,20 @@ def test_filler_matches_row_by_row_reference(threaded, model, param, m, n, monke
     assert pools == ([min(m, 4)] if threaded and m > 1 else [])
 
 
-@pytest.mark.parametrize("chunk", [8, 24, 1 << 16])
-def test_rid_chunking_keeps_the_stream(chunk, monkeypatch):
+@pytest.mark.parametrize("chunk", [64, 192, 1 << 10])
+@pytest.mark.parametrize("zero_prob", [0.7, 0.875])
+def test_rid_chunking_keeps_the_stream(chunk, zero_prob, monkeypatch):
+    # chunks of whole 64-cell words, at 8 planes with ties and at 3 without
     monkeypatch.setattr(randgen, "_CHUNK_CELLS", chunk)
     for n in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
-        matrix = gen_rid(3, n, 0.7, 8)
-        assert np.array_equal(matrix.bits, _reference_bits("rid", 3, n, 0.7, 8))
+        matrix = gen_rid(3, n, zero_prob, 8)
+        assert np.array_equal(matrix.bits, _reference_bits("rid", 3, n, zero_prob, 8))
 
 
 def test_threaded_fill_under_frequent_thread_switches(monkeypatch, pools):
     # more workers than CPUs, switching every microsecond: a row written by
     # the wrong worker or at the wrong offset would change the bits
-    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 8)
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 64)  # four chunks a row
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
     monkeypatch.setattr(core, "_worker_count", lambda: 8)
     interval = sys.getswitchinterval()
@@ -196,7 +237,7 @@ def test_threaded_fill_under_frequent_thread_switches(monkeypatch, pools):
 
 
 def test_single_cpu_fills_inline(monkeypatch, pools):
-    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 50)  # six one-row blocks
+    monkeypatch.setattr(randgen, "_GROUP_WORDS", 1)  # six one-row blocks
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
     monkeypatch.setattr(core, "_worker_count", lambda: 1)
     inline = gen_rid(6, 50, 0.5, 3), gen_rrsd(6, 50, 5, 3)
@@ -217,46 +258,13 @@ def test_small_matrices_start_no_threads(pools):
 
 
 # ---------------------------------------------------------------------------
-# the byte-threshold rid stream against an exact rational reference
+# the plane rid stream against its exact rational reference
 # ---------------------------------------------------------------------------
 
-def _fraction_row(seed, row_index, n, zero_prob):
-    """Row ``row_index`` by the stream's specification, in exact arithmetic.
-
-    Each cell reads bytes b1 b2 ... of a uniform U = 0.b1 b2 ... in base 256,
-    round by round: round 1 gives byte i to cell i, and every later round
-    gives one new byte to each undecided cell, in column order. A round's
-    bytes are the little-endian bytes of the next ceil(t/8) raw 64-bit words
-    for t undecided cells. After k bytes U lies in [low, low + 256^-k): the
-    cell is 0 once that interval lies below zero_prob, and 1 once low reaches
-    it.
-    """
-    bits = np.random.default_rng(np.random.SeedSequence([seed, row_index])).bit_generator
-    p = Fraction(zero_prob)
-    low = [Fraction(0)] * n
-    cells = [None] * n
-    undecided = list(range(n))
-    width = Fraction(1)
-    while undecided:
-        words = bits.random_raw((len(undecided) + 7) // 8).tolist()
-        data = b"".join(w.to_bytes(8, "little") for w in words)
-        width /= 256
-        still = []
-        for col, byte in zip(undecided, data):
-            low[col] += byte * width
-            if low[col] + width <= p:
-                cells[col] = False
-            elif low[col] >= p:
-                cells[col] = True
-            else:
-                still.append(col)
-        undecided = still
-    return np.array(cells, dtype=bool)
-
-
-# 0.5, 0.75, 0.875, 1/256 and 255/256 have one base-256 digit, so a tie on
-# it decides the cell at once
-ZERO_PROBS = [0.5, 0.75, 0.875, 1 / 256, 255 / 256, 0.6, 1 / 3, 0.001, 0.999, 1e-300]
+# 0.5, 0.75, 0.875, 0.625, 1/256 and 255/256 have one base-256 digit, so
+# round 1 reads 1, 2, 3, 3, 8 and 8 bits of each cell and decides it; the
+# others read 8 bits and leave ties for later rounds
+ZERO_PROBS = [0.5, 0.75, 0.875, 0.625, 1 / 256, 255 / 256, 0.6, 1 / 3, 0.001, 0.999, 1e-300]
 
 
 def test_zero_prob_digits_cover_the_first_byte_range():
@@ -268,34 +276,38 @@ def test_zero_prob_digits_cover_the_first_byte_range():
         assert sum(Fraction(z, 256 ** (k + 1)) for k, z in enumerate(digits)) == Fraction(p)
 
 
+def test_plane_counts():
+    for zero_prob, planes in [(0.5, 1), (0.75, 2), (0.875, 3), (0.625, 3), (0.25, 2),
+                              (1 / 256, 8), (255 / 256, 8), (0.6, 8), (1e-300, 8)]:
+        assert randgen._plane_count(randgen._digits(zero_prob)) == planes
+        assert _plane_count(zero_prob) == planes
+
+
 @pytest.mark.parametrize("zero_prob", ZERO_PROBS)
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 1000])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1000])
 def test_rid_rows_equal_the_fraction_reference(zero_prob, n):
     matrix = gen_rid(3, n, zero_prob, 57)
-    for j in range(3):
-        expected = _fraction_row(57, j, n, zero_prob)
-        assert np.array_equal(rid_row(57, j, n, zero_prob), expected)
-        assert np.array_equal(matrix.bits[j], np.packbits(expected))
+    assert np.array_equal(matrix.bits, _reference_bits("rid", 3, n, zero_prob, 57))
 
 
 @pytest.mark.parametrize("zero_prob", [0.6, 0.75, 0.999, 1e-300])
-@pytest.mark.parametrize("n", [15, 16, 17, 40, 61])
+@pytest.mark.parametrize("n", [15, 64, 65, 130, 200])
 @pytest.mark.parametrize("threaded", [False, True])
 def test_fraction_reference_across_chunks_and_blocks(zero_prob, n, threaded, monkeypatch):
-    # 16-cell chunks split the wider rows; 48-cell blocks group the shorter
-    # ones, three at a time, so the 7 rows end in a short block
-    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 16)
-    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 48)
+    # 64-cell chunks split the rows wider than 64; groups of 24 raw words
+    # take the shorter ones three at a time at 8 planes and twelve at 2,
+    # so the 7 rows end in a short group
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 64)
+    monkeypatch.setattr(randgen, "_GROUP_WORDS", 24)
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1 if threaded else 10**9)
     monkeypatch.setattr(core, "_worker_count", lambda: 2)
     matrix = gen_rid(7, n, zero_prob, 3)
-    expected = np.array([np.packbits(_fraction_row(3, j, n, zero_prob)) for j in range(7)])
-    assert np.array_equal(matrix.bits, expected)
+    assert np.array_equal(matrix.bits, _reference_bits("rid", 7, n, zero_prob, 3))
 
 
 def test_threaded_blocks_under_frequent_thread_switches(monkeypatch, pools):
-    # blocks of three 13-cell rows, strided over 8 workers
-    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 40)
+    # blocks of three 13-cell rows of 8 planes, strided over 8 workers
+    monkeypatch.setattr(randgen, "_GROUP_WORDS", 24)
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
     monkeypatch.setattr(core, "_worker_count", lambda: 8)
     interval = sys.getswitchinterval()
@@ -309,13 +321,11 @@ def test_threaded_blocks_under_frequent_thread_switches(monkeypatch, pools):
 
 
 def test_ties_are_broken_after_the_whole_row(monkeypatch):
-    # With 8-cell chunks a row of 4096 cells has about 16 ties spread over
+    # With 64-cell chunks a row of 4096 cells has about 16 ties spread over
     # many chunks; their second bytes must come after the row's last chunk.
-    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 8)
-    zero_prob = 0.6
-    matrix = gen_rid(2, 4096, zero_prob, 5)
-    for j in range(2):
-        assert np.array_equal(matrix.bits[j], np.packbits(_fraction_row(5, j, 4096, zero_prob)))
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 64)
+    matrix = gen_rid(2, 4096, 0.6, 5)
+    assert np.array_equal(matrix.bits, _reference_bits("rid", 2, 4096, 0.6, 5))
 
 
 def _two_sided_binomial_p(zeros, cells, p):
@@ -358,6 +368,44 @@ def test_binomial_p_value_rejects_a_shifted_count():
     assert _two_sided_binomial_p(round(cells * p), cells, p) > 0.9
     assert _two_sided_binomial_p(round(cells * p + 4.5 * sigma), cells, p) < ALPHA
     assert _two_sided_binomial_p(round(cells * p - 4.5 * sigma), cells, p) < ALPHA
+
+
+def _independence_p(a, b):
+    """P-value of the chi-square test, 1 degree of freedom, that the paired
+    0/1 samples ``a`` and ``b`` are independent: their 2 x 2 table against
+    the product of its margins."""
+    a, b = a.ravel().astype(bool), b.ravel().astype(bool)
+    table = np.array([[np.sum(~a & ~b), np.sum(~a & b)], [np.sum(a & ~b), np.sum(a & b)]])
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    chi2 = float(((table - expected) ** 2 / expected).sum())
+    return math.erfc(math.sqrt(chi2 / 2))
+
+
+def _cell_pairs(dense, apart):
+    """Disjoint pairs of cells ``apart`` columns apart in each row: the first
+    ``apart`` cells of every 2 * ``apart``, each with the cell ``apart`` on."""
+    m, n = dense.shape
+    blocks = n // (2 * apart)
+    pairs = dense[:, : blocks * 2 * apart].reshape(m, blocks, 2, apart)
+    return pairs[:, :, 0], pairs[:, :, 1]
+
+
+@pytest.mark.parametrize("zero_prob", [0.5, 0.75, 0.875, 0.625, 0.6, 1 / 3])
+@pytest.mark.parametrize("apart", [1, 64])
+def test_rid_cells_are_pairwise_independent(zero_prob, apart):
+    # neighbours share a byte of each plane word; cells 64 apart sit at the
+    # same bit of neighbouring words
+    dense = gen_rid(100, 10**4, zero_prob, 314).dense()
+    assert _independence_p(*_cell_pairs(dense, apart)) >= ALPHA
+
+
+def test_independence_p_value_rejects_a_dependent_pair():
+    # the test has power: a second cell that copies the first one time in 50
+    rng = np.random.default_rng(5)
+    a = rng.random(10**6) < 0.25
+    b = np.where(rng.random(10**6) < 0.02, a, rng.random(10**6) < 0.25)
+    assert _independence_p(a, rng.random(10**6) < 0.25) > ALPHA
+    assert _independence_p(a, b) < ALPHA
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +465,7 @@ def test_threaded_draws_and_writes_equal_seed_sequence_rows(seed, monkeypatch, t
     # another seed, would change the bits
     m, n = 11, 13
     monkeypatch.setattr(randgen, "_SPAN_ROWS", 4)
-    monkeypatch.setattr(randgen, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(randgen, "_GROUP_WORDS", 1)
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
     monkeypatch.setattr(core, "_BLOCK_BYTES", n + 1)
     path = tmp_path / "m.gtm1"
