@@ -209,28 +209,28 @@ def test_generate_rrsd_rows(tmp_path):
     assert (matrix.row_weights() == 4).all()
 
 
-# SHA-256 of the GTM1 bytes `generate` writes. The rrsd digests were taken
-# before the block-wise codec replaced the per-row one, and while rows were
-# still drawn one by one. The rid digests were re-pinned when rid rows moved
-# to the bit-plane stream (see pooltest.randgen), which reads only the bits
-# of each cell's uniform that the cell needs: 2 at zero_prob 0.75, 8 and
-# later bytes for ties at 0.55. It was a deliberate change of the random
-# stream, as the byte-threshold stream before it was; the digests must not
-# change again by accident. The last two matrices hold at least 2^22 cells,
-# so their rows are drawn on a thread pool.
+# SHA-256 of the GTM1 bytes `generate` writes. Every digest was re-pinned
+# when each matrix moved to one PCG64 stream, its rows at fixed offsets (see
+# pooltest.randgen): a rid row's round 1 reads only the bits of each cell's
+# uniform that the cell needs, 2 at zero_prob 0.75 and 8 at 0.55, whose ties
+# read later bytes from the row's window, where a rrsd row's choice reads
+# too. It was a deliberate change of the random stream, as the per-row
+# streams before it were; the digests must not change again by accident.
+# The last two matrices hold at least 2^22 cells, so their rows are drawn on
+# a thread pool.
 GOLDEN_GENERATE = [
     (("--n", "10000", "--d", "4", "--delta", "0.1", "--property", "semi", "--seed", "17"),
-     "e343ad22d40a945b6ec377d588ebff19042b57caeb0dad51c081a7db6b267eb3"),
+     "82aadf2fa12065b458732f836480339d791fdaf3cd8f0216292efddb9f691c11"),
     (("--model", "rrsd", "--n", "5000", "--d", "3", "--delta", "0.1",
       "--property", "disjunct", "--seed", "23"),
-     "13da0a76b9006a36e7eb5f02cd019fb91ba2a1454fb9ebd0c445f864c055cbc6"),
+     "0c1e017290a584cd66b8d41ca5350edb386f3918921605e30a9b114743461f6a"),
     (("--n", "1001", "--m", "37", "--zero-prob", "0.55", "--seed", "29"),
-     "678fb7198fea0680cc8b63c6a65b5317b167e75d82177e77d40798f535fb71c9"),
+     "245f7d67ee2264ea1cceb12e755237182323e2dd8d55b9794bff3275a1f68108"),
     (("--n", "100000", "--m", "64", "--zero-prob", "0.75", "--seed", "31"),
-     "836b56010b1a4cbfbebd41ec84ee3e201d84bff20f97ae1a9af4c1663f079e37"),
+     "a558f7a5ca4e807a3830989102e2c9dde78bfa92edc54cfa2f0617affc0c9a37"),
     (("--model", "rrsd", "--n", "100000", "--m", "64", "--row-weight", "20000",
       "--seed", "37"),
-     "6cf839602470b8c46ece1f61a619935fd59f7bc4f14b08da31588890c5577a5a"),
+     "1dec095a05319819b010c9c65fd1ed032a194ebd4353735f5ecb8a58b04a521b"),
 ]
 
 
@@ -463,6 +463,29 @@ def test_generate_checks_its_parameters_before_opening_the_file(args, message, t
     assert cli.main(["generate", "--n", "10", *args, "--out", str(path)]) == 1
     assert message in capsys.readouterr().err
     assert path.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("model_args", [("--zero-prob", "0.5"), ("--model", "rrsd", "--row-weight", "2")])
+def test_generate_refuses_rows_past_the_streams_windows(model_args, tmp_path):
+    # row j's window starts at word 2^127 + j * 2^64: 2^63 rows would wrap
+    # the period of 2^128 words
+    path = tmp_path / "m.gtm1"
+    res = run_cli("generate", "--n", "10", "--m", str(2**63), *model_args, "--out", str(path))
+    assert res.returncode == 1
+    assert res.stderr == "error: m must be <= 9223372036854775807, got 9223372036854775808\n"
+    assert not path.exists()
+
+
+def test_cli_import_loads_neither_numpy_random_nor_a_thread_pool():
+    # both are imported on first use, so importing the CLI stays cheap;
+    # numpy before 2.0 imports numpy.random itself, which pooltest cannot help
+    probe = ("import sys, numpy; eager = 'numpy.random' in sys.modules; "
+             "import pooltest.cli, pooltest.simulate; "
+             "print(eager, 'numpy.random' in sys.modules, 'concurrent.futures' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         timeout=60)
+    eager, random_loaded, futures_loaded = res.stdout.split()
+    assert random_loaded == eager and futures_loaded == "False"
 
 
 def test_unknown_flags_exit_one():

@@ -15,11 +15,94 @@ from pooltest.design import optimal_zero_prob
 from pooltest.randgen import gen_rid, gen_rrsd
 
 
-# Row-by-row references: one row drawn whole, alone, from its own generator,
-# which the blocked, chunked and threaded filler must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+# A pure-Python reference of the stream: numpy's SeedSequence([seed]), which
+# is O'Neill's seed_seq_fe with a pool of four uint32 words, and its PCG64, a
+# 128-bit LCG with XSL-RR output that jumps ahead by square and multiply
+# (O'Neill, "PCG", 2014). The rows below read it at the offsets the randgen
+# module docstring gives, and the blocked, chunked and threaded filler must
+# reproduce them bit for bit.
+# ---------------------------------------------------------------------------
 
-def _row_rng(seed, row_index):
-    return np.random.default_rng(np.random.SeedSequence([seed, row_index]))
+MASK32, MASK64, MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# row j's window, where its tie rounds or its rrsd choice read
+WINDOWS, WINDOW = 2**127, 2**64
+
+
+def seed_state(seed):
+    """``SeedSequence([seed]).generate_state(4, np.uint64)`` as four ints."""
+    entropy = [seed & MASK32]  # least significant uint32 word first
+    while seed := seed >> 32:
+        entropy.append(seed & MASK32)
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & MASK32
+        value = value * const & MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & MASK32
+        value = value * const & MASK32
+        out.append(value ^ value >> 16)
+    return [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
+
+
+class RefPCG64:
+    """PCG64 seeded as numpy seeds it from ``SeedSequence([seed])``."""
+
+    def __init__(self, seed):
+        w = seed_state(seed)
+        initstate, initseq = w[0] << 64 | w[1], w[2] << 64 | w[3]
+        self.inc = (initseq << 1 | 1) & MASK128
+        self.state = self.inc  # one step from state 0
+        self.state = self._step(self.state + initstate)
+
+    def _step(self, state):
+        return (state * PCG_MULT + self.inc) & MASK128
+
+    def word(self):
+        """The next raw word: a step, then XSL-RR of the new state."""
+        self.state = state = self._step(self.state)
+        x, rotation = (state >> 64 ^ state) & MASK64, state >> 122
+        return (x >> rotation | x << (64 - rotation)) & MASK64
+
+    def words(self, count):
+        return [self.word() for _ in range(count)]
+
+    def advance(self, delta):
+        """Skip ``delta`` words, mod 2^128: the LCG's map composed by squaring."""
+        mult, plus, acc_mult, acc_plus = PCG_MULT, self.inc, 1, 0
+        delta &= MASK128
+        while delta:
+            if delta & 1:
+                acc_mult, acc_plus = acc_mult * mult & MASK128, (acc_plus * mult + plus) & MASK128
+            mult, plus = mult * mult & MASK128, (mult + 1) * plus & MASK128
+            delta >>= 1
+        self.state = (acc_mult * self.state + acc_plus) & MASK128
+        return self
+
+
+def stream_at(seed, word):
+    """The reference stream of ``seed`` at word ``word``."""
+    return RefPCG64(seed).advance(word)
 
 
 def _plane_count(zero_prob):
@@ -28,22 +111,22 @@ def _plane_count(zero_prob):
     return next((bits for bits in range(1, 9) if (p * 2**bits).denominator == 1), 8)
 
 
-def rid_row(seed, row_index, n, zero_prob):
+def rid_row_rounds(seed, row_index, n, zero_prob):
     """Row ``row_index`` by the stream's specification, in exact arithmetic,
-    as a boolean vector; P[cell is 0] = zero_prob.
+    as a boolean vector, and the rounds it took; P[cell is 0] = zero_prob.
 
     Round 1 reads the first L bits of each cell's uniform U: cell i takes
-    bit 8 * (i % 64 // 8) + 7 - i % 8 of raw words w*L .. w*L + L - 1, for
-    w = i // 64, the first of them giving U's most significant bit. Every
-    later round gives one new byte to each undecided cell, in column order:
-    the little-endian bytes of the next ceil(t/8) raw words for t undecided
-    cells. Once U is known to lie in [low, low + width), the cell is 0 if
-    that interval lies below zero_prob, and 1 once low reaches it.
+    bit 8 * (i % 64 // 8) + 7 - i % 8 of words (j*W + w)*L .. (j*W + w)*L
+    + L - 1, for w = i // 64, W = ceil(n/64) and j the row, the first of
+    them giving U's most significant bit. Every later round gives one new
+    byte to each undecided cell, in column order: the little-endian bytes of
+    the next ceil(t/8) words of the row's window from word 2^127 + j*2^64 on,
+    for t undecided cells. Once U is known to lie in [low, low + width), the
+    cell is 0 if that interval lies below zero_prob, and 1 once low reaches it.
     """
-    bits = _row_rng(seed, row_index).bit_generator
     p = Fraction(zero_prob)
-    planes = _plane_count(zero_prob)
-    raw = bits.random_raw(-(-n // 64) * planes).tolist()
+    planes, row_words = _plane_count(zero_prob), -(-n // 64)
+    raw = stream_at(seed, row_index * row_words * planes).words(row_words * planes)
     x = [0] * n  # each cell's first L bits of U, as a number
     for i in range(n):
         word, shift = i // 64 * planes, 8 * (i % 64 // 8) + 7 - i % 8
@@ -55,10 +138,11 @@ def rid_row(seed, row_index, n, zero_prob):
     cells = [verdicts[v] for v in x]
     undecided = [i for i in range(n) if cells[i] is None]
     low = {i: low[x[i]] for i in undecided}
+    window, rounds = stream_at(seed, WINDOWS + row_index * WINDOW), 1
     while undecided:
-        words = bits.random_raw((len(undecided) + 7) // 8).tolist()
-        data = b"".join(w.to_bytes(8, "little") for w in words)
+        data = b"".join(w.to_bytes(8, "little") for w in window.words((len(undecided) + 7) // 8))
         width /= 256
+        rounds += 1
         still = []
         for col, byte in zip(undecided, data):
             low[col] += byte * width
@@ -69,13 +153,23 @@ def rid_row(seed, row_index, n, zero_prob):
             else:
                 still.append(col)
         undecided = still
-    return np.array(cells, dtype=bool)
+    return np.array(cells, dtype=bool), rounds
+
+
+def rid_row(seed, row_index, n, zero_prob):
+    return rid_row_rounds(seed, row_index, n, zero_prob)[0]
 
 
 def rrsd_row(seed, row_index, n, row_weight):
-    """One uniform constant-weight row as a boolean vector."""
+    """One uniform constant-weight row as a boolean vector: numpy's
+    ``Generator.choice`` on a PCG64 set to the reference's state at the
+    row's window."""
+    at = stream_at(seed, WINDOWS + row_index * WINDOW)
+    bits = np.random.PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "state": {"state": at.state, "inc": at.inc},
+                  "has_uint32": 0, "uinteger": 0}
     row = np.zeros(n, dtype=bool)
-    row[_row_rng(seed, row_index).choice(n, size=row_weight, replace=False)] = True
+    row[np.random.Generator(bits).choice(n, size=row_weight, replace=False)] = True
     return row
 
 
@@ -409,62 +503,127 @@ def test_independence_p_value_rejects_a_dependent_pair():
 
 
 # ---------------------------------------------------------------------------
-# the rows' seed states against numpy's SeedSequence
+# the stream's reference against numpy, and rows at any offset
 # ---------------------------------------------------------------------------
 
-# seeds of one to seven uint32 words: from four words on, with the row's word,
-# SeedSequence mixes the entropy past its pool of four in an extra loop
-STATE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 10**30, 2**200 + 7] + [
+# seeds of one to 32 uint32 words: from five words on, SeedSequence mixes
+# the entropy past its pool of four in an extra loop
+STREAM_SEEDS = [0, 2**32, 2**64 + 5, 10**30, 2**200 + 7]
+STATE_SEEDS = STREAM_SEEDS + [1, 2**32 - 1, 2**64 - 1, 2**96 - 1, 2**96, 3**100, 2**1000 + 1] + [
     int(s) for s in np.random.default_rng(20261019).integers(0, 2**63, 6)]
 
 
-def _reference_states(seed, rows):
-    return np.array([np.random.SeedSequence([seed, j]).generate_state(4, np.uint64) for j in rows])
+def test_reference_seed_state_equals_seed_sequence():
+    for seed in STATE_SEEDS:
+        state = np.random.SeedSequence([seed]).generate_state(4, np.uint64).tolist()
+        assert seed_state(seed) == state, seed
+        bits = np.random.PCG64(np.random.SeedSequence([seed])).state["state"]
+        ref = RefPCG64(seed)
+        assert (bits["state"], bits["inc"]) == (ref.state, ref.inc), seed
 
 
 @pytest.mark.parametrize("seed", STATE_SEEDS)
-@pytest.mark.parametrize("model,param", [("rid", 0.6), ("rrsd", 1)])
-def test_row_seeds_equal_seed_sequence(seed, model, param):
-    # a matrix of 2^32 + 2 rows, not drawn: runs of rows from row 0, within
-    # the span just derived, across span boundaries, at 2^16 among them, and
-    # into the row indices of two uint32 words
-    matrix = randgen.seeded_matrix(model, 2**32 + 2, 1, param, seed)
-    runs = [(0, 3), (2, 4), (randgen._SPAN_ROWS - 1, 2), (2**16 - 1, 3), (2**32 - 2, 4), (1, 1)]
-    for start, count in runs:
-        rows = range(start, start + count)
-        states = [s.generate_state(4, np.uint64) for s in matrix._row_seeds(start, count)]
-        assert np.array_equal(states, _reference_states(seed, rows)), (start, count)
-        words = [bits.random_raw(3) for bits in matrix._streams(start, count)]
-        assert np.array_equal(words, [_row_rng(seed, j).bit_generator.random_raw(3) for j in rows])
+def test_reference_pcg64_equals_numpy_draws_and_advance(seed):
+    # jumps within round 1, to words past 2^64, to the windows of rows past
+    # 2^32, and back over the period's end
+    bits, ref = np.random.PCG64(np.random.SeedSequence([seed])), RefPCG64(seed)
+    assert bits.random_raw(5).tolist() == ref.words(5)
+    for delta in [1, 2**64 + 3, WINDOWS + (2**32 + 1) * WINDOW, WINDOWS - 9, MASK128, 2**200 + 1]:
+        bits.advance(delta)
+        ref.advance(delta)
+        assert bits.random_raw(3).tolist() == ref.words(3), delta
 
 
-def test_row_states_cover_seeds_of_any_width():
-    for seed in [2**96 - 1, 2**96, 3**100, 2**1000 + 1]:
-        for start in (0, 2**32, 2**64 + 7):
-            rows = range(start, start + 5)
-            assert np.array_equal(randgen._row_states(seed, start, start + 5),
-                                  _reference_states(seed, rows)), (seed, start)
-
-
-def test_row_seed_serves_pcg64_alone():
-    state = randgen._row_states(7, 3, 4)[0]
-    seed = randgen._row_seed_type()(state)
-    assert np.array_equal(seed.generate_state(4, np.uint64), state)
-    assert np.array_equal(seed.generate_state(4, "uint64"), state)
-    for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64)]:
-        with pytest.raises(ValueError):
-            seed.generate_state(n_words, dtype)
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_reads_equal_the_reference_at_any_word(seed):
+    # one thread's stream, moved forward, back, to a window and back to the
+    # start after a Generator read an unknown number of words
+    stream = randgen.SeededMatrix(1, 1, seed)._stream()
+    for at, count in [(0, 3), (2, 4), (2**64 + 1, 2), (WINDOWS + 2**40 * WINDOW, 3), (1, 1)]:
+        assert stream.read(at, count).tolist() == stream_at(seed, at).words(count), at
+    stream.generator(WINDOWS).integers(0, 10, 3)
+    assert stream.read(5, 2).tolist() == stream_at(seed, 5).words(2)
 
 
 @pytest.mark.parametrize("seed", STATE_SEEDS)
-def test_threaded_draws_and_writes_equal_seed_sequence_rows(seed, monkeypatch, tmp_path, pools,
-                                                            codec_workers):
-    # spans of 4 rows and one-row groups and blocks, drawn and written on 8
-    # workers that switch every microsecond: each worker derives the spans
-    # of its own rows, and a row with the state of another row, or of
-    # another seed, would change the bits
+@pytest.mark.parametrize("model,param,n", [("rid", 0.6, 1000), ("rid", 0.75, 65),
+                                           ("rid", 1e-300, 9), ("rrsd", 3, 65)])
+def test_rows_anywhere_equal_the_reference(seed, model, param, n):
+    # a matrix of 2^62 rows, not drawn: runs of rows from row 0, across 2^32,
+    # and whose round-1 words lie past 2^64, each with its own ties
+    matrix = randgen.seeded_matrix(model, 2**62, n, param, seed)
+    row = rid_row if model == "rid" else rrsd_row
+    for start, count in [(0, 3), (2**32 - 1, 3), (2**59 + 1, 2), (2**62 - 2, 2), (1, 1)]:
+        out = np.empty((count, (n + 7) // 8), np.uint8)
+        matrix._fill_bits(start, count, out)
+        expected = [np.packbits(row(seed, j, n, param)) for j in range(start, start + count)]
+        assert np.array_equal(out, expected), start
+
+
+def test_row_count_stays_inside_the_period():
+    # row windows of 2^64 words from word 2^127 on: 2^63 rows fill the period
+    assert randgen.seeded_matrix("rid", 2**63 - 1, 1, 0.5, 0).m == 2**63 - 1
+    for model, param in [("rid", 0.5), ("rrsd", 1)]:
+        with pytest.raises(InputError, match="m must be <= 9223372036854775807"):
+            randgen.seeded_matrix(model, 2**63, 1, param, 0)
+
+
+@pytest.mark.parametrize("zero_prob", [0.6, 2 / 3])
+def test_ties_of_later_rounds_equal_the_reference(zero_prob, monkeypatch):
+    # rows 9 and 11 at 0.6, 12 and 15 at 2/3, have a tie that reaches round
+    # 3; groups of three rows and three workers, so that the windows are
+    # those of the matrix's rows, whichever group or worker draws them
+    m, n, seed = 16, 2000, 5
+    rounds = [rid_row_rounds(seed, j, n, zero_prob) for j in range(m)]
+    assert max(r for _, r in rounds) == 3
+    expected = np.array([np.packbits(cells) for cells, _ in rounds])
+    assert np.array_equal(gen_rid(m, n, zero_prob, seed).bits, expected)
+    monkeypatch.setattr(randgen, "_GROUP_WORDS", 3 * 32 * 8)
+    monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
+    monkeypatch.setattr(core, "_worker_count", lambda: 3)
+    assert np.array_equal(gen_rid(m, n, zero_prob, seed).bits, expected)
+
+
+@pytest.mark.parametrize("zero_prob", [0.6, 2 / 3])
+def test_wide_row_ties_equal_the_reference(zero_prob, monkeypatch):
+    # rows wider than a chunk of 128 cells, their last word cut short: only
+    # the nonzero tie words are unpacked, and a tie bit past n is no cell
+    monkeypatch.setattr(randgen, "_CHUNK_CELLS", 128)
+    for n in (4096 + 37, 129):
+        matrix = gen_rid(3, n, zero_prob, 21)
+        assert np.array_equal(matrix.bits, _reference_bits("rid", 3, n, zero_prob, 21)), n
+
+
+def test_bits_do_not_depend_on_workers_chunks_groups_or_blocks(monkeypatch, tmp_path):
+    # draw() and the written GTM1 bytes, on 1 to 8 workers, with chunks that
+    # split the rows or not, groups of one row to all of them, and codec
+    # blocks of one row to several
+    m, n, seed = 23, 200, 13
+    expected = {model: _reference_bits(model, m, n, param, seed)
+                for model, param in [("rid", 2 / 3), ("rrsd", 9)]}
+    monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
+    path = tmp_path / "m.gtm1"
+    for workers in (1, 2, 3, 8):
+        monkeypatch.setattr(core, "_worker_count", lambda: workers)
+        for chunk, group, block in [(64, 1, n + 1), (192, 24, 3 * (n + 1)), (1 << 18, 1 << 14, 1 << 21)]:
+            monkeypatch.setattr(randgen, "_CHUNK_CELLS", chunk)
+            monkeypatch.setattr(randgen, "_GROUP_WORDS", group)
+            monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+            for model, param in [("rid", 2 / 3), ("rrsd", 9)]:
+                matrix = randgen.seeded_matrix(model, m, n, param, seed)
+                assert np.array_equal(matrix.draw().bits, expected[model]), (workers, chunk, model)
+                core.write_gtm1(matrix, path)
+                assert np.array_equal(core.read_gtm1(path).bits, expected[model])
+
+
+@pytest.mark.parametrize("seed", STATE_SEEDS)
+def test_threaded_draws_and_writes_equal_reference_rows(seed, monkeypatch, tmp_path, pools,
+                                                        codec_workers):
+    # one-row groups and blocks, drawn and written on 8 workers that switch
+    # every microsecond: each worker keeps its own copy of the stream, and a
+    # row read at another worker's offset, or of another seed, would change
+    # the bits
     m, n = 11, 13
-    monkeypatch.setattr(randgen, "_SPAN_ROWS", 4)
     monkeypatch.setattr(randgen, "_GROUP_WORDS", 1)
     monkeypatch.setattr(randgen, "_PARALLEL_CELLS", 1)
     monkeypatch.setattr(core, "_BLOCK_BYTES", n + 1)
@@ -480,10 +639,9 @@ def test_threaded_draws_and_writes_equal_seed_sequence_rows(seed, monkeypatch, t
 
 
 @pytest.mark.parametrize("model,param,m", [("rid", 0.6, 1 << 16), ("rrsd", 1, 1 << 15)])
-def test_tall_matrix_is_written_with_the_states_of_one_span(model, param, m, monkeypatch):
-    # spans of 2^10 rows: the states of every row would take m x 32 bytes,
-    # a span's 32 KiB, and the pass that derives them about three times that
-    monkeypatch.setattr(randgen, "_SPAN_ROWS", 1 << 10)
+def test_tall_matrix_is_written_in_bounded_memory(model, param, m):
+    # one stream per thread, whatever the height: 32 bytes a row, half the
+    # bound, would be a per-row state
     matrix = randgen.seeded_matrix(model, m, 1, param, 5)
     gen_rid(1, 1, 0.5, 5)  # numpy.random is imported on first use, not counted here
     tracemalloc.start()
