@@ -44,9 +44,9 @@ z1 >> (8 - L):
   round 1 compared with z1; a cell still tied after zK is 1.
 
 So P[cell is 0] equals ``zero_prob`` exactly, and a row at 0.75 reads two
-raw words per 64 cells. The rid stream depends only on ``SeedSequence``, PCG64's
-raw output and its ``advance``, which NumPy's stream policy (NEP 19) keeps
-stable across versions, unlike ``Generator.random``. A rrsd row is
+raw words per 64 cells. The rid stream depends only on ``SeedSequence``,
+PCG64's raw output and its ``advance``, which NumPy's stream policy (NEP 19)
+keeps stable across versions, unlike ``Generator.random``. A rrsd row is
 ``Generator.choice`` without replacement, which that policy does not cover;
 it reads a number of words that varies, so a row's generator is placed at
 its window from the start of the stream.

@@ -465,7 +465,8 @@ def test_generate_checks_its_parameters_before_opening_the_file(args, message, t
     assert path.read_bytes() == b"kept\n"
 
 
-@pytest.mark.parametrize("model_args", [("--zero-prob", "0.5"), ("--model", "rrsd", "--row-weight", "2")])
+@pytest.mark.parametrize("model_args", [("--zero-prob", "0.5"),
+                                        ("--model", "rrsd", "--row-weight", "2")])
 def test_generate_refuses_rows_past_the_streams_windows(model_args, tmp_path):
     # row j's window starts at word 2^127 + j * 2^64: 2^63 rows would wrap
     # the period of 2^128 words

@@ -605,7 +605,8 @@ def test_bits_do_not_depend_on_workers_chunks_groups_or_blocks(monkeypatch, tmp_
     path = tmp_path / "m.gtm1"
     for workers in (1, 2, 3, 8):
         monkeypatch.setattr(core, "_worker_count", lambda: workers)
-        for chunk, group, block in [(64, 1, n + 1), (192, 24, 3 * (n + 1)), (1 << 18, 1 << 14, 1 << 21)]:
+        for chunk, group, block in [(64, 1, n + 1), (192, 24, 3 * (n + 1)),
+                                    (1 << 18, 1 << 14, 1 << 21)]:
             monkeypatch.setattr(randgen, "_CHUNK_CELLS", chunk)
             monkeypatch.setattr(randgen, "_GROUP_WORDS", group)
             monkeypatch.setattr(core, "_BLOCK_BYTES", block)
