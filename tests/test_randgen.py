@@ -173,6 +173,13 @@ def rrsd_row(seed, row_index, n, row_weight):
     return row
 
 
+# seeds of one to 32 uint32 words: from five words on, SeedSequence mixes
+# the entropy past its pool of four in an extra loop
+STREAM_SEEDS = [0, 2**32, 2**64 + 5, 10**30, 2**200 + 7]
+STATE_SEEDS = STREAM_SEEDS + [1, 2**32 - 1, 2**64 - 1, 2**96 - 1, 2**96, 3**100, 2**1000 + 1] + [
+    int(s) for s in np.random.default_rng(20261019).integers(0, 2**63, 6)]
+
+
 def test_rid_determinism():
     a = gen_rid(12, 33, 0.7, seed=99)
     b = gen_rid(12, 33, 0.7, seed=99)
@@ -380,8 +387,9 @@ def test_plane_counts():
 @pytest.mark.parametrize("zero_prob", ZERO_PROBS)
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1000])
 def test_rid_rows_equal_the_fraction_reference(zero_prob, n):
-    matrix = gen_rid(3, n, zero_prob, 57)
-    assert np.array_equal(matrix.bits, _reference_bits("rid", 3, n, zero_prob, 57))
+    for seed in [57] + STREAM_SEEDS:
+        matrix = gen_rid(3, n, zero_prob, seed)
+        assert np.array_equal(matrix.bits, _reference_bits("rid", 3, n, zero_prob, seed)), seed
 
 
 @pytest.mark.parametrize("zero_prob", [0.6, 0.75, 0.999, 1e-300])
@@ -505,13 +513,6 @@ def test_independence_p_value_rejects_a_dependent_pair():
 # ---------------------------------------------------------------------------
 # the stream's reference against numpy, and rows at any offset
 # ---------------------------------------------------------------------------
-
-# seeds of one to 32 uint32 words: from five words on, SeedSequence mixes
-# the entropy past its pool of four in an extra loop
-STREAM_SEEDS = [0, 2**32, 2**64 + 5, 10**30, 2**200 + 7]
-STATE_SEEDS = STREAM_SEEDS + [1, 2**32 - 1, 2**64 - 1, 2**96 - 1, 2**96, 3**100, 2**1000 + 1] + [
-    int(s) for s in np.random.default_rng(20261019).integers(0, 2**63, 6)]
-
 
 def test_reference_seed_state_equals_seed_sequence():
     for seed in STATE_SEEDS:
