@@ -16,6 +16,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -37,6 +38,7 @@ FILES = {
     "a10.txt": "10\n",
     "a11.txt": "11\n",
     "a11000.txt": "11000\n",
+    "def359.txt": "3 5\n9\n",
 }
 
 SETUP = [
@@ -48,6 +50,9 @@ SETUP = [
     ["generate", "--n", "50", "--m", "10", "--zero-prob", "0.5", "--seed", "13",
      "--out", "wide.gtm1"],
 ]
+
+
+SUBCOMMANDS = ("design", "table", "generate", "answer", "decode", "verify", "simulate")
 
 
 def _commands() -> list[list[str]]:
@@ -111,6 +116,31 @@ def _commands() -> list[list[str]]:
                      "--property", "bogus"])
     commands.append(["design", "--n", "1000", "--d", "1", "--delta", "0.1",
                      "--property", "separable"])
+    commands += [
+        ["answer", "--matrix", "rid.gtm1", "--items", "3 17"],
+        ["answer", "--matrix", "rrsd.gtm1", "--defectives", "def359.txt"],
+        ["answer", "--matrix", "rid.gtm1"],
+    ]
+    # a design's matrix, as GTM1 on stdout
+    for model in ("rid", "rrsd"):
+        commands.append(["generate", "--model", model, "--n", "40", "--d", "2",
+                         "--delta", "0.5", "--property", "disjunct", "--seed", "5"])
+    # parser errors: a missing required flag is named in declaration order
+    commands += [[], ["bogus"]]
+    commands += [[command] for command in SUBCOMMANDS]
+    design = ["design", "--n", "1000", "--d", "3", "--delta", "0.1", "--property", "semi"]
+    simulate = ["simulate", "--n", "300", "--d", "3", "--delta", "0.1", "--property", "semi",
+                "--trials", "5"]
+    commands += [
+        [*design, "--model", "bogus"],
+        [*design, "--format", "xml"],
+        [*simulate, "--defect-mode", "exactly_d"],
+        ["decode", "--matrix", "dup.gtm1", "--answers", "a10.txt", "--decoder", "bruteforce"],
+        [*simulate, "--decoder", "semi"],
+        ["design", "--n", "010", "--d", "3", "--delta", "0.1", "--property", "semi"],
+        ["design", "--n", "1000", "--d", "3", "--delta", ".5", "--property", "semi"],
+    ]
+    commands += [["--help"]] + [[command, "--help"] for command in SUBCOMMANDS]
     return commands
 
 
@@ -118,11 +148,22 @@ COMMANDS = _commands()
 
 
 def run(argv: list[str]) -> dict:
-    """One command in process: its argv, exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    """One command in process: its argv, exit code, stdout and stderr.
+
+    stdout has a byte buffer, which ``generate`` writes GTM1 to; the code of
+    a ``SystemExit`` (``--help``) is recorded as the exit code. Help text is
+    wrapped at 80 columns, whatever the terminal.
+    """
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n"), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out.flush()
+    return {"argv": argv, "code": code, "stdout": out.buffer.getvalue().decode("utf-8"),
+            "stderr": err.getvalue()}
 
 
 def make_files(directory: Path) -> None:
