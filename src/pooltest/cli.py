@@ -61,7 +61,7 @@ from .decode import (
 )
 from .randgen import gen_rid  # not called here; perfbench's tracer wraps this name
 from .randgen import seeded_matrix
-from .simulate import TrialConfig, run_trials
+from .simulate import DECODERS, TrialConfig, run_trials
 from .verify import check_property
 
 CSV_SCHEMA_COMMENT = "# pooltest-csv v1"
@@ -282,13 +282,11 @@ def _cmd_decode(args, out) -> int:
     answers = parse_answer_file(Path(args.answers).read_bytes(), matrix.m)
     if args.decoder == "disjunct":
         outcome = decode_disjunct(matrix, answers)
+    elif args.d is None:
+        raise InputError(f"--d is required for the {args.decoder} decoder")
     elif args.decoder == "semi":
-        if args.d is None:
-            raise InputError("--d is required for the semi decoder")
         outcome = decode_semidisjunct(matrix, answers, args.d, args.max_subset_tests)
     else:
-        if args.d is None:
-            raise InputError("--d is required for the brute decoder")
         outcome = decode_separable_bruteforce(matrix, answers, args.d)
     if outcome.status == DECODED:
         _write_text(args.out, " ".join(str(i) for i in outcome.items) + "\n", out)
@@ -356,97 +354,75 @@ def _cmd_simulate(args, out) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# each flag's argparse keywords, given once; ``--decoder`` takes other
+# choices in each command that has it
+_FLAGS = {
+    "--n": {"type": _decimal_arg},
+    "--d": {"type": _decimal_arg},
+    "--delta": {"type": _real_arg},
+    "--property": {},
+    "--model": {"choices": ("rid", "rrsd"), "default": "rid"},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--d-max": {"type": _decimal_arg},
+    "--m": {"type": _decimal_arg},
+    "--zero-prob": {"type": _real_arg},
+    "--row-weight": {"type": _decimal_arg},
+    "--seed": {"type": _decimal_arg},
+    "--out": {},
+    "--matrix": {},
+    "--defectives": {},
+    "--items": {},
+    "--answers": {},
+    "--max-subset-tests": {"type": _decimal_arg, "default": 10**8},
+    "--defect-mode": {"choices": ("exactly", "atmost"), "default": "exactly"},
+    "--trials": {"type": _decimal_arg, "default": 100},
+    "--timings": {"action": "store_true"},
+}
+_DECODER_FLAG = {
+    "decode": {"choices": ("disjunct", "semi", "brute"), "default": "semi"},
+    "simulate": {"choices": DECODERS},
+}
+
+# (command, help, handler, flags in usage order; a trailing "!" marks a required flag)
+_COMMANDS = (
+    ("design", "compute test count and cell parameters", _cmd_design,
+     "--n! --d! --delta! --property! --model --format"),
+    ("table", "per-ln-n coefficient table for d = 2..K", _cmd_table, "--d-max! --format"),
+    ("generate", "write a seeded random matrix as GTM1", _cmd_generate,
+     "--model --n! --m --zero-prob --row-weight --d --delta --property --seed --out"),
+    ("answer", "answer bits of a matrix for a defective set", _cmd_answer,
+     "--matrix! --defectives --items --out"),
+    ("decode", "recover the defective set from answers", _cmd_decode,
+     "--matrix! --answers! --decoder --d --max-subset-tests --out"),
+    ("verify", "check a matrix property for a defective set", _cmd_verify,
+     "--matrix! --defectives --items --property! --d --format"),
+    ("simulate", "seeded Monte Carlo decode-success report", _cmd_simulate,
+     "--n! --d! --delta! --property! --model --decoder --defect-mode --trials --seed"
+     " --timings --format"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pooltest", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("design", help="compute test count and cell parameters")
-    p.add_argument("--n", type=_decimal_arg, required=True)
-    p.add_argument("--d", type=_decimal_arg, required=True)
-    p.add_argument("--delta", type=_real_arg, required=True)
-    p.add_argument("--property", required=True)
-    p.add_argument("--model", choices=("rid", "rrsd"), default="rid")
-    add_format(p)
-    p.set_defaults(func=_cmd_design)
-
-    p = sub.add_parser("table", help="per-ln-n coefficient table for d = 2..K")
-    p.add_argument("--d-max", type=_decimal_arg, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("generate", help="write a seeded random matrix as GTM1")
-    p.add_argument("--model", choices=("rid", "rrsd"), default="rid")
-    p.add_argument("--n", type=_decimal_arg, required=True)
-    p.add_argument("--m", type=_decimal_arg)
-    p.add_argument("--zero-prob", type=_real_arg)
-    p.add_argument("--row-weight", type=_decimal_arg)
-    p.add_argument("--d", type=_decimal_arg)
-    p.add_argument("--delta", type=_real_arg)
-    p.add_argument("--property")
-    p.add_argument("--seed", type=_decimal_arg)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("answer", help="answer bits of a matrix for a defective set")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--defectives")
-    p.add_argument("--items")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_answer)
-
-    p = sub.add_parser("decode", help="recover the defective set from answers")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--answers", required=True)
-    p.add_argument("--decoder", choices=("disjunct", "semi", "brute"), default="semi")
-    p.add_argument("--d", type=_decimal_arg)
-    p.add_argument("--max-subset-tests", type=_decimal_arg, default=10**8)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_decode)
-
-    p = sub.add_parser("verify", help="check a matrix property for a defective set")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--defectives")
-    p.add_argument("--items")
-    p.add_argument("--property", required=True)
-    p.add_argument("--d", type=_decimal_arg)
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo decode-success report")
-    p.add_argument("--n", type=_decimal_arg, required=True)
-    p.add_argument("--d", type=_decimal_arg, required=True)
-    p.add_argument("--delta", type=_real_arg, required=True)
-    p.add_argument("--property", required=True)
-    p.add_argument("--model", choices=("rid", "rrsd"), default="rid")
-    p.add_argument("--decoder", choices=("disjunct", "semidisjunct", "bruteforce"))
-    p.add_argument("--defect-mode", choices=("exactly", "atmost"), default="exactly")
-    p.add_argument("--trials", type=_decimal_arg, default=100)
-    p.add_argument("--seed", type=_decimal_arg)
-    p.add_argument("--timings", action="store_true")
-    add_format(p)
-    p.set_defaults(func=_cmd_simulate)
-
+    for command, help_text, handler, flags in _COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags.split():
+            name = flag.rstrip("!")
+            keywords = _DECODER_FLAG[command] if name == "--decoder" else _FLAGS[name]
+            p.add_argument(name, required=flag.endswith("!"), **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, BudgetExceededError) else 1
 
 
 if __name__ == "__main__":

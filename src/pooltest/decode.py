@@ -39,7 +39,6 @@ __all__ = [
     "AMBIGUOUS",
     "NO_CONSISTENT_SET",
     "DecodeOutcome",
-    "survivor_mask",
     "eliminate",
     "decode_disjunct",
     "decode_semidisjunct",
@@ -107,13 +106,6 @@ def _survivors(matrix: TestMatrix, ans: np.ndarray) -> np.ndarray:
     zeros = np.flatnonzero(np.unpackbits(blocked[open_bytes]) == 0)
     positions = open_bytes[zeros >> 3] * 8 + (zeros & 7)
     return positions[positions < matrix.n]
-
-
-def survivor_mask(matrix: TestMatrix, answers) -> np.ndarray:
-    """Boolean length-n mask of items that appear in no negative test."""
-    mask = np.zeros(matrix.n, dtype=bool)
-    mask[_survivors(matrix, validate_answers(matrix, answers))] = True
-    return mask
 
 
 def eliminate(matrix: TestMatrix, answers) -> tuple[int, ...]:

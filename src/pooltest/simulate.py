@@ -10,6 +10,7 @@ determinism guarantees.
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from math import sqrt
 from typing import Iterable
@@ -17,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    BudgetExceededError, DesignSpec, InputError, PoolTestError, TestMatrix, answer_vector,
+    BudgetExceededError, DesignSpec, InputError, TestMatrix, answer_vector,
     _require_int,
 )
 from .decode import (
@@ -159,19 +160,26 @@ def trial_instance(cfg: TrialConfig, trial: int) -> tuple[TestMatrix, tuple[int,
     return matrix, items
 
 
-def _decode(cfg: TrialConfig, matrix: TestMatrix, answers):
-    if cfg.decoder == "disjunct":
-        return decode_disjunct(matrix, answers)
-    if cfg.decoder == "semidisjunct":
-        return decode_semidisjunct(matrix, answers, cfg.design.d)
-    return decode_separable_bruteforce(matrix, answers, cfg.design.d)
-
-
-def _refusal(items: tuple[int, ...], start: float) -> TrialResult:
-    return TrialResult(
-        items=items, success=False, refused=True, residual=None,
-        non_disjunct_count=None, seconds=time.perf_counter() - start,
-    )
+def _run_trial(cfg: TrialConfig, trial: int, capped: bool, answered: bool, check) -> TrialResult:
+    """One trial around ``check``, the one step timed. A ``capped`` check
+    over the desk cap on (n, d) is refused before any draw. Otherwise the
+    instance is drawn, and answered when ``answered``; ``check(matrix, items,
+    answers)`` gives (success, residual, non_disjunct_count) or raises
+    ``BudgetExceededError``, a refusal.
+    """
+    found = None
+    if capped and _over_desk_scale(cfg.design.n, cfg.design.d):
+        items = _trial_items(cfg, trial)
+        start = time.perf_counter()
+    else:
+        matrix, items = trial_instance(cfg, trial)
+        answers = answer_vector(matrix, items) if answered else None
+        start = time.perf_counter()
+        with suppress(BudgetExceededError):
+            found = check(matrix, items, answers)
+    seconds = time.perf_counter() - start
+    success, residual, non_disjunct_count = found or (False, None, None)
+    return TrialResult(items, success, found is None, residual, non_disjunct_count, seconds)
 
 
 def run_single_trial(cfg: TrialConfig, trial: int) -> TrialResult:
@@ -180,25 +188,17 @@ def run_single_trial(cfg: TrialConfig, trial: int) -> TrialResult:
     The exhaustive decoder refuses a design over its desk cap on (n, d)
     alone, so such a trial is refused before its matrix is drawn.
     """
-    if cfg.decoder == "bruteforce" and _over_desk_scale(cfg.design.n, cfg.design.d):
-        return _refusal(_trial_items(cfg, trial), time.perf_counter())
-    matrix, items = trial_instance(cfg, trial)
-    answers = answer_vector(matrix, items)
-    start = time.perf_counter()
-    try:
-        outcome = _decode(cfg, matrix, answers)
-    except PoolTestError:
-        return _refusal(items, start)
-    seconds = time.perf_counter() - start
-    success = outcome.status == DECODED and outcome.items == items
-    return TrialResult(
-        items=items,
-        success=success,
-        refused=False,
-        residual=matrix.n - outcome.eliminated_count,
-        non_disjunct_count=None,
-        seconds=seconds,
-    )
+    def decode(matrix, items, answers):
+        if cfg.decoder == "disjunct":
+            outcome = decode_disjunct(matrix, answers)
+        elif cfg.decoder == "semidisjunct":
+            outcome = decode_semidisjunct(matrix, answers, cfg.design.d)
+        else:
+            outcome = decode_separable_bruteforce(matrix, answers, cfg.design.d)
+        success = outcome.status == DECODED and outcome.items == items
+        return success, matrix.n - outcome.eliminated_count, None
+
+    return _run_trial(cfg, trial, cfg.decoder == "bruteforce", True, decode)
 
 
 def property_trial(cfg: TrialConfig, property_name: str, trial: int) -> TrialResult:
@@ -209,22 +209,11 @@ def property_trial(cfg: TrialConfig, property_name: str, trial: int) -> TrialRes
     separability check, like the exhaustive decoder, refuses on (n, d)
     before the matrix is drawn.
     """
-    if property_name == "separable" and _over_desk_scale(cfg.design.n, cfg.design.d):
-        return _refusal(_trial_items(cfg, trial), time.perf_counter())
-    matrix, items = trial_instance(cfg, trial)
-    start = time.perf_counter()
-    try:
+    def check(matrix, items, answers):
         report = check_property(matrix, items, property_name, cfg.design.d)
-    except BudgetExceededError:
-        return _refusal(items, start)
-    return TrialResult(
-        items=items,
-        success=report.holds,
-        refused=False,
-        residual=None,
-        non_disjunct_count=len(report.non_disjunct_items),
-        seconds=time.perf_counter() - start,
-    )
+        return report.holds, None, len(report.non_disjunct_items)
+
+    return _run_trial(cfg, trial, property_name == "separable", False, check)
 
 
 def _aggregate(results: Iterable[TrialResult], trials: int) -> SimulationReport:
@@ -263,14 +252,15 @@ def _aggregate(results: Iterable[TrialResult], trials: int) -> SimulationReport:
 def run_trials(cfg: TrialConfig) -> SimulationReport:
     """Decode-success report over cfg.trials independent seeded trials.
 
-    Generation or decoding errors inside a trial count as refusals and
-    never abort the batch.
+    A trial the decoder refuses on its work budget (``BudgetExceededError``)
+    counts as a refusal and never aborts the batch. Any other error, such as
+    a matrix the generator cannot draw, propagates.
     """
     return _aggregate((run_single_trial(cfg, t) for t in range(cfg.trials)), cfg.trials)
 
 
 def estimate_property_rate(cfg: TrialConfig, property_name: str) -> SimulationReport:
-    """Property-acceptance report over cfg.trials independent seeded trials."""
+    """Property-acceptance report over cfg.trials seeded trials, refused as in ``run_trials``."""
     return _aggregate(
         (property_trial(cfg, property_name, t) for t in range(cfg.trials)), cfg.trials
     )

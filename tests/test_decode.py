@@ -26,7 +26,6 @@ from pooltest.decode import (
     decode_semidisjunct,
     decode_separable_bruteforce,
     eliminate,
-    survivor_mask,
 )
 from pooltest.design import disjunct_test_count, semidisjunct_test_count
 from pooltest.randgen import gen_rid
@@ -397,8 +396,6 @@ def elimination_instances(draw):
 
 
 def _assert_matches_the_references(matrix, items, answers, d):
-    mask = survivor_mask(matrix, answers)
-    assert mask.dtype == bool and np.array_equal(mask, reference_survivor_mask(matrix, answers))
     assert eliminate(matrix, answers) == reference_eliminate(matrix, answers)
     assert non_disjunct_items(matrix, items) == reference_non_disjunct_items(matrix, items)
     budget = 2000  # a wide residue is refused, by both, before its scan
@@ -429,8 +426,7 @@ def test_negative_rows_are_ored_in_slabs(block, monkeypatch):
             m = int(rng.integers(1, 60))
             matrix = gen_rid(m, n, 0.97, int(rng.integers(2**32)))
             answers = (rng.random(m) < 0.5).astype(np.uint8)
-            expected = reference_survivor_mask(matrix, answers)
-            assert np.array_equal(survivor_mask(matrix, answers), expected)
+            assert eliminate(matrix, answers) == reference_eliminate(matrix, answers)
 
 
 def test_elimination_copies_at_most_a_slab_of_negative_rows(monkeypatch):
@@ -441,14 +437,14 @@ def test_elimination_copies_at_most_a_slab_of_negative_rows(monkeypatch):
     matrix = gen_rid(m, n, 0.995, 7)
     answers = np.zeros(m, np.uint8)
     answers[::4] = 1
-    expected = reference_survivor_mask(matrix, answers)
+    expected = reference_eliminate(matrix, answers)
     tracemalloc.start()
     try:
-        mask = survivor_mask(matrix, answers)
+        survivors = eliminate(matrix, answers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(mask, expected) and 0 < mask.sum() < n
+    assert survivors == expected and 0 < len(survivors) < n
     assert peak < 4 * (1 << 16) + 4 * n, peak
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from pooltest import cli, simulate
-from pooltest.core import InputError
+from pooltest.core import BudgetExceededError, InputError
 from pooltest.design import disjunct_test_count, make_design
 from pooltest.simulate import (
     TrialConfig,
@@ -108,6 +109,41 @@ def test_refusals_never_abort_the_batch():
     assert report.refusals == 8
     assert report.successes + report.failures + report.refusals == report.trials
     assert report.success_rate == 0.0
+
+
+def test_only_a_budget_refusal_is_a_refusal():
+    # m = 2^63 passes DesignSpec but no generator can draw it: drawing a
+    # trial's matrix raises, and the batch stops, for a decode and for a
+    # property check that draw the matrix
+    spec = dataclasses.replace(make_design(40, 2, 0.2, "disjunct"), m=2**63)
+    cfg = TrialConfig(design=spec, trials=3, master_seed=1, decoder="disjunct")
+    with pytest.raises(InputError, match="m must be <= 9223372036854775807"):
+        run_trials(cfg)
+    with pytest.raises(InputError, match="m must be <= 9223372036854775807"):
+        estimate_property_rate(cfg, "disjunct")
+
+
+@pytest.mark.parametrize("trial_of", [
+    lambda cfg, t: run_single_trial(cfg, t),
+    lambda cfg, t: property_trial(cfg, "semidisjunct", t),
+], ids=["decode", "property"])
+def test_a_budget_error_inside_the_check_is_the_one_refusal(trial_of, monkeypatch):
+    raised = BudgetExceededError
+
+    def failing(*args, **kwargs):
+        raise raised("from the check")
+
+    monkeypatch.setattr(simulate, "decode_semidisjunct", failing)
+    monkeypatch.setattr(simulate, "check_property", failing)
+    cfg = TrialConfig(design=make_design(40, 2, 0.2, "semidisjunct"), trials=1, master_seed=4)
+    result = trial_of(cfg, 0)
+    assert (result.refused, result.success, result.residual, result.non_disjunct_count) == (
+        True, False, None, None)
+    assert result.items == trial_instance(cfg, 0)[1]
+    assert result.seconds >= 0.0
+    raised = InputError
+    with pytest.raises(InputError, match="from the check"):
+        trial_of(cfg, 0)
 
 
 def test_timing_fields_are_present_but_not_compared():
