@@ -198,7 +198,7 @@ def run_single_trial(cfg: TrialConfig, trial: int) -> TrialResult:
         success = outcome.status == DECODED and outcome.items == items
         return success, matrix.n - outcome.eliminated_count, None
 
-    return _run_trial(cfg, trial, cfg.decoder == "bruteforce", True, decode)
+    return _run_trial(cfg, trial, capped=cfg.decoder == "bruteforce", answered=True, check=decode)
 
 
 def property_trial(cfg: TrialConfig, property_name: str, trial: int) -> TrialResult:
@@ -213,7 +213,7 @@ def property_trial(cfg: TrialConfig, property_name: str, trial: int) -> TrialRes
         report = check_property(matrix, items, property_name, cfg.design.d)
         return report.holds, None, len(report.non_disjunct_items)
 
-    return _run_trial(cfg, trial, property_name == "separable", False, check)
+    return _run_trial(cfg, trial, capped=property_name == "separable", answered=False, check=check)
 
 
 def _aggregate(results: Iterable[TrialResult], trials: int) -> SimulationReport:
