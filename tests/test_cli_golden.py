@@ -33,6 +33,8 @@ FILES = {
     # tests {1,2,3}, {1,4}, {5}, {2,6}, {3}: elimination leaves {1, 4} on
     # answers 11000, yet {1} alone explains them
     "six.gtm1": "GTM1 5 6 Explicit 0\n111000\n100100\n000010\n010001\n001000\n",
+    # row 2 holds a byte that is not a cell
+    "bad.gtm1": "GTM1 2 3 Explicit 0\n010\n0x1\n",
     "a00.txt": "00\n",
     "a01.txt": "01\n",
     "a10.txt": "10\n",
@@ -120,6 +122,12 @@ def _commands() -> list[list[str]]:
         ["answer", "--matrix", "rid.gtm1", "--items", "3 17"],
         ["answer", "--matrix", "rrsd.gtm1", "--defectives", "def359.txt"],
         ["answer", "--matrix", "rid.gtm1"],
+        # a matrix error comes before an item error
+        ["answer", "--matrix", "bad.gtm1", "--items", "9"],
+        ["answer", "--matrix", "rid.gtm1", "--items", "3 41"],
+        ["answer", "--matrix", "rid.gtm1", "--items", "17 3 17"],
+        # the last column
+        ["answer", "--matrix", "wide.gtm1", "--items", "50"],
     ]
     # a design's matrix, as GTM1 on stdout
     for model in ("rid", "rrsd"):
