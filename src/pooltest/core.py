@@ -37,7 +37,8 @@ of rows. ``write_gtm1`` and ``dump_gtm1`` take a ``TestMatrix``, whose
 packed blocks are copied, or a seeded matrix of ``pooltest.randgen``, whose
 packed blocks are drawn as they are written, and unpack each block to text,
 a row wider than a block in pieces of a block. The reader checks each block
-in its read buffer and packs it, a wide row in pieces too; a block only
+in its read buffer and hands its cells to a sink, which packs them or keeps
+a few columns, a wide row in pieces too; a block only
 detects a defect. One sequential pass, ``_first_defect``,
 from the first failing block on (from row 1 for a file shorter than its
 header says), reports each defect, a block or a piece at a time: a bad file
@@ -624,10 +625,23 @@ def _first_defect(f: BinaryIO, body: int, row: int, m: int, n: int,
     return ParseError(f"expected {m} row lines, found more", line=m + 2)
 
 
-def _decode(f: BinaryIO, fd: int | None = None) -> TestMatrix:
+def _packer(m: int, n: int, tag: str, seed: int):
+    """The sink of ``read_gtm1``: the cells packed into a ``TestMatrix``."""
+    bits = np.empty((m, (n + 7) // 8), dtype=np.uint8)
+
+    def pack(r: int, k: int, c: int, cells: np.ndarray) -> None:
+        packed = np.packbits(cells, axis=1)
+        bits[r : r + k, c >> 3 : (c >> 3) + packed.shape[1]] = packed
+
+    return pack, lambda: TestMatrix._adopt(m, n, bits, tag, seed)
+
+
+def _decode(f: BinaryIO, fd: int | None = None, sink_of: Callable = _packer):
     """The matrix in ``f``, its rows moved through ``fd`` if it is not None
     (see ``_each_block``). The blocks only detect a defect: ``_first_defect``
-    names it."""
+    names it. Each checked block's 0/1 cells, its k rows from 0-based row r
+    on and columns c on, go to ``sink(r, k, c, cells)``, where ``sink, done =
+    sink_of(m, n, tag, seed)``; returns ``done()``."""
     if not f.seekable():
         f = io.BytesIO(f.read())
     m, n, tag, seed = _read_header(f)
@@ -644,7 +658,7 @@ def _decode(f: BinaryIO, fd: int | None = None) -> TestMatrix:
         raise _first_defect(f, body, 0, m, n, shared)
     f.seek(body)
 
-    bits = np.empty((m, (n + 7) // 8), dtype=np.uint8)
+    sink, done = sink_of(m, n, tag, seed)
     rows = _block_rows(m, n)
 
     def make_step():
@@ -664,8 +678,7 @@ def _decode(f: BinaryIO, fd: int | None = None) -> TestMatrix:
                     return False
                 if shared is not None:
                     weights = weights + cells.sum(axis=1)
-                packed = np.packbits(cells, axis=1)
-                bits[r : r + k, c >> 3 : (c >> 3) + packed.shape[1]] = packed
+                sink(r, k, c, cells)
             return shared is None or not (weights != shared).any()
 
         return step
@@ -674,7 +687,7 @@ def _decode(f: BinaryIO, fd: int | None = None) -> TestMatrix:
     f.seek(body + m * width)
     if stop < m or f.read(1):
         raise _first_defect(f, body, stop, m, n, shared)
-    return TestMatrix._adopt(m, n, bits, tag, seed)
+    return done()
 
 
 def dumps_gtm1(matrix: TestMatrix) -> str:
@@ -704,3 +717,31 @@ def read_gtm1(path: str | Path) -> TestMatrix:
     the first defect in file order."""
     with open(path, "rb") as f:
         return _decode(f, _positional(f))
+
+
+def _answer_gtm1(path: str | Path, items_of: Callable[[int], Iterable[int]]) -> np.ndarray:
+    """``answer_vector(read_gtm1(path), items_of(n))``, never holding the
+    matrix: each block is checked as ``read_gtm1`` checks it and ORs only the
+    items' columns. An ``InputError`` or ``OSError`` of ``items_of`` is
+    raised once the whole file has passed, so every matrix error comes first."""
+
+    def gatherer(m: int, n: int, tag: str, seed: int):
+        answers, columns, late = np.zeros(m, dtype=bool), np.empty(0, dtype=np.intp), None
+        try:
+            columns = np.array(validate_items(items_of(n), n), dtype=np.intp) - 1
+        except (InputError, OSError) as exc:
+            late = exc
+
+        def gather(r: int, k: int, c: int, cells: np.ndarray) -> None:
+            lo, hi = np.searchsorted(columns, (c, c + cells.shape[1]))
+            answers[r : r + k] |= cells[:, columns[lo:hi] - c].any(axis=1)
+
+        def done() -> np.ndarray:
+            if late is not None:
+                raise late
+            return answers.view(np.uint8)
+
+        return gather, done
+
+    with open(path, "rb") as f:
+        return _decode(f, _positional(f), gatherer)

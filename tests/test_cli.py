@@ -456,6 +456,19 @@ def test_generate_writes_the_bytes_of_the_packed_matrix(args, matrix, monkeypatc
     (("--m", "3", "--zero-prob", "0.5", "--seed", "-1"), "argument --seed: expected"),
     (("--m", "3", "--zero-prob", "0.5", "--seed", "1.5"), "argument --seed: expected"),
     (("--d", "20", "--delta", "0.1", "--property", "semi"), "d must be <= n"),
+    # a flag the run would ignore
+    (("--m", "3", "--zero-prob", "0.5", "--d", "2"), "--d does not apply with --m for the rid model"),
+    (("--m", "3", "--zero-prob", "0.5", "--delta", "0.1"), "--delta does not apply with --m for the rid model"),
+    (("--m", "3", "--zero-prob", "0.5", "--property", "semi"),
+     "--property does not apply with --m for the rid model"),
+    (("--m", "3", "--zero-prob", "0.5", "--row-weight", "2"),
+     "--row-weight does not apply with --m for the rid model"),
+    (("--model", "rrsd", "--m", "3", "--row-weight", "2", "--zero-prob", "0.5"),
+     "--zero-prob does not apply with --m for the rrsd model"),
+    (("--d", "2", "--delta", "0.1", "--property", "semi", "--zero-prob", "0.9"),
+     "--zero-prob requires --m"),
+    (("--model", "rrsd", "--d", "2", "--delta", "0.1", "--property", "semi", "--row-weight", "2"),
+     "--row-weight requires --m"),
 ])
 def test_generate_checks_its_parameters_before_opening_the_file(args, message, tmp_path, capsys):
     path = tmp_path / "m.gtm1"
@@ -475,6 +488,19 @@ def test_generate_refuses_rows_past_the_streams_windows(model_args, tmp_path):
     assert res.returncode == 1
     assert res.stderr == "error: m must be <= 9223372036854775807, got 9223372036854775808\n"
     assert not path.exists()
+
+
+def test_a_reader_that_stops_early_is_no_error():
+    # about 400 KB of GTM1, more than a pipe holds: the writer meets the closed pipe
+    env = dict(os.environ)
+    env.pop("POOLTEST_SEED", None)
+    with subprocess.Popen([sys.executable, "-m", "pooltest", "generate", "--n", "2000", "--m",
+                           "200", "--zero-prob", "0.5", "--seed", "1"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b"GTM1 200 2"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
 
 
 def test_cli_import_loads_neither_numpy_random_nor_a_thread_pool():

@@ -133,6 +133,20 @@ def _commands() -> list[list[str]]:
     for model in ("rid", "rrsd"):
         commands.append(["generate", "--model", model, "--n", "40", "--d", "2",
                          "--delta", "0.5", "--property", "disjunct", "--seed", "5"])
+    # generate refuses a flag it would ignore: a design flag with --m, the
+    # other model's parameter, a parameter without --m
+    explicit = ["generate", "--n", "40", "--m", "25", "--seed", "1"]
+    designed = ["generate", "--n", "40", "--d", "2", "--delta", "0.5", "--property", "disjunct",
+                "--seed", "1"]
+    commands += [
+        [*explicit, "--zero-prob", "0.5", "--d", "3"],
+        [*explicit, "--zero-prob", "0.5", "--delta", "0.1"],
+        [*explicit, "--zero-prob", "0.5", "--property", "semi"],
+        [*explicit, "--zero-prob", "0.5", "--row-weight", "7"],
+        [*explicit, "--model", "rrsd", "--row-weight", "7", "--zero-prob", "0.5"],
+        [*designed, "--zero-prob", "0.9"],
+        [*designed, "--model", "rrsd", "--row-weight", "7"],
+    ]
     # parser errors: a missing required flag is named in declaration order
     commands += [[], ["bogus"]]
     commands += [[command] for command in SUBCOMMANDS]

@@ -989,3 +989,103 @@ def test_codec_moves_blocks_by_position_only_in_regular_files(tmp_path):
     read, write = os.pipe()
     with open(read, "rb") as r, open(write, "wb") as w:
         assert core._positional(r) is None and core._positional(w) is None
+
+
+# ---------------------------------------------------------------------------
+# GTM1 answers read in one pass, without the matrix
+# ---------------------------------------------------------------------------
+
+def _answer_matrix(tag: str, m: int, n: int) -> TestMatrix:
+    if tag == "RID":
+        return gen_rid(m, n, 0.5, n)
+    if tag == "RrSD":
+        return gen_rrsd(m, n, max(1, n // 3), n)
+    dense = np.random.default_rng(n).integers(0, 2, (m, n), dtype=np.uint8)
+    return TestMatrix.from_dense(dense)
+
+
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+@pytest.mark.parametrize("n", [7, 8, 9, 96, 100])
+@pytest.mark.parametrize("block", [1, 8, 15, 16, 40, "2 rows", "3 rows", None])
+def test_streamed_answers_are_the_answers_of_the_read_matrix(tag, n, block, tmp_path,
+                                                             monkeypatch, codec_workers):
+    # 7 rows in blocks of 2 or 3 rows, or wider than a block, in pieces of
+    # 8, 16 or 40 cells; at n = 96 the last piece of a row is its LF alone
+    matrix = _answer_matrix(tag, 7, n)
+    path = tmp_path / "m.gtm1"
+    write_gtm1(matrix, path)
+    if isinstance(block, str):
+        block = int(block[0]) * (n + 1)
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+    edges = {1, 8, 9, 15, 16, 17, 40, 41, n - 1, n}
+    for items in [(), (1,), (n,), tuple(i for i in edges if 1 <= i <= n), range(1, n + 1)]:
+        expected = answer_vector(read_gtm1(path), items)
+        got = core._answer_gtm1(path, lambda width: items)
+        assert got.dtype == np.uint8 and np.array_equal(got, expected), items
+        # the same block loop on as many workers
+        assert codec_workers[-1] == codec_workers[-2]
+
+
+def _error_of(read) -> tuple[str, int | None, int | None]:
+    with pytest.raises(ParseError) as exc:
+        read()
+    return str(exc.value), exc.value.line, exc.value.column
+
+
+@pytest.mark.parametrize("model", ["rid", "rrsd"])
+def test_streamed_answers_raise_the_readers_error_on_a_file_cut_at_every_byte(
+        model, tmp_path, monkeypatch, codec_workers):
+    # every cut and each uncut file with a planted defect, once each and
+    # under a name of its own (rewriting one file can cost far more than
+    # reading it); an item past n, which is reported only on a good matrix
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * (COLS + 1))
+    matrix = gen_rid(ROWS, COLS, 0.5, 3) if model == "rid" else gen_rrsd(ROWS, COLS, 3, 5)
+    text = dumps_gtm1(matrix).encode("ascii")
+    files = {data for case in _truncation_cases(text, model) for data in case
+             if isinstance(data, bytes)}
+    for i, data in enumerate(sorted(files)):
+        path = tmp_path / f"{i}.gtm1"
+        path.write_bytes(data)
+        expected = _error_of(lambda: read_gtm1(path))
+        assert _error_of(lambda: core._answer_gtm1(path, lambda n: (1, n + 1))) == expected, data
+
+
+def test_streamed_answers_raise_an_item_error_once_the_matrix_has_passed(tmp_path):
+    path = tmp_path / "m.gtm1"
+    path.write_bytes(b"GTM1 2 3 RID 0\n010\n001\n")
+    with pytest.raises(InputError, match="item index must be <= 3, got 4"):
+        core._answer_gtm1(path, lambda n: (n + 1,))
+
+    def missing(n):
+        raise FileNotFoundError("no such file")
+
+    with pytest.raises(FileNotFoundError):
+        core._answer_gtm1(path, missing)
+    path.write_bytes(b"GTM1 2 3 RID 0\n010\n002\n")
+    assert _error_of(lambda: core._answer_gtm1(path, missing)) == (
+        "line 3, column 3: invalid character '2'", 3, 3)
+
+
+def test_streamed_answers_hold_a_few_blocks_of_memory(tmp_path, monkeypatch):
+    # 1 MiB of packed bits in blocks of 64 KiB, on 2 workers: the reader
+    # holds the bits, the answers only a block a worker
+    block = 1 << 16
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
+    matrix = gen_rid(1 << 13, 1023, 0.5, 3)
+    assert matrix.bits.nbytes > 8 * block
+    path = tmp_path / "m.gtm1"
+    write_gtm1(matrix, path)
+    items = (1, 600, 1023)
+    peaks = []
+    for read in (lambda: answer_vector(read_gtm1(path), items),
+                 lambda: core._answer_gtm1(path, lambda n: items)):
+        tracemalloc.start()
+        try:
+            answers = read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(answers, answer_vector(matrix, items))
+    assert peaks[0] > matrix.bits.nbytes and peaks[1] < 8 * block, peaks
