@@ -1021,7 +1021,7 @@ def test_streamed_answers_are_the_answers_of_the_read_matrix(tag, n, block, tmp_
     edges = {1, 8, 9, 15, 16, 17, 40, 41, n - 1, n}
     for items in [(), (1,), (n,), tuple(i for i in edges if 1 <= i <= n), range(1, n + 1)]:
         expected = answer_vector(read_gtm1(path), items)
-        got = core._answer_gtm1(path, lambda width: items)
+        got = core._answer_gtm1(path, lambda _: items)
         assert got.dtype == np.uint8 and np.array_equal(got, expected), items
         # the same block loop on as many workers
         assert codec_workers[-1] == codec_workers[-2]
