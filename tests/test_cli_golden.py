@@ -40,6 +40,9 @@ FILES = {
     "a10.txt": "10\n",
     "a11.txt": "11\n",
     "a11000.txt": "11000\n",
+    "a0x.txt": "0x\n",
+    # the answers of items 3 and 17 on wide.gtm1: 12 items survive elimination
+    "a_wide.txt": "1110011111\n",
     "def359.txt": "3 5\n9\n",
 }
 
@@ -97,6 +100,20 @@ def _commands() -> list[list[str]]:
         ["--matrix", "tiny.gtm1", "--answers", "a00.txt", "--decoder", "brute", "--d", "2"],
         ["--matrix", "dup.gtm1", "--answers", "a10.txt", "--decoder", "brute", "--d", "5"],
         ["--matrix", "dup.gtm1", "--answers", "a10.txt", "--decoder", "brute"],
+        # a matrix error comes before an answers error, and an answers error
+        # before a flag error
+        ["--matrix", "bad.gtm1", "--answers", "a0x.txt", "--decoder", "disjunct"],
+        ["--matrix", "bad.gtm1", "--answers", "a10.txt", "--decoder", "semi"],
+        ["--matrix", "dup.gtm1", "--answers", "missing.txt", "--decoder", "semi", "--d", "1"],
+        ["--matrix", "dup.gtm1", "--answers", "a11000.txt", "--decoder", "disjunct"],
+        ["--matrix", "dup.gtm1", "--answers", "a0x.txt", "--decoder", "semi", "--d", "1"],
+        ["--matrix", "dup.gtm1", "--answers", "a10.txt", "--decoder", "semi", "--d", "0"],
+        # semi with more than d survivors, among 50 items: the finish decodes,
+        # finds no set, or is over its budget
+        ["--matrix", "wide.gtm1", "--answers", "a_wide.txt", "--decoder", "semi", "--d", "2"],
+        ["--matrix", "wide.gtm1", "--answers", "a_wide.txt", "--decoder", "semi", "--d", "1"],
+        ["--matrix", "wide.gtm1", "--answers", "a_wide.txt", "--decoder", "semi", "--d", "2",
+         "--max-subset-tests", "65"],
     ]
     commands += [["decode", *args] for args in decodes]
     simulations = [
