@@ -44,9 +44,13 @@ from .core import (
     BudgetExceededError,
     InputError,
     ParseError,
+    TestMatrix,
     _answer_gtm1,
     _canonical_int,
     _canonical_real,
+    _columns_gtm1,
+    _require_int,
+    _survivors_gtm1,
     dump_gtm1,
     read_gtm1,
     validate_items,
@@ -57,7 +61,6 @@ from .core import answer_vector
 from .decode import (
     AMBIGUOUS,
     DECODED,
-    decode_disjunct,
     decode_semidisjunct,
     decode_separable_bruteforce,
 )
@@ -284,20 +287,32 @@ def _cmd_answer(args, out) -> int:
 
 
 def _cmd_decode(args, out) -> int:
-    matrix = read_gtm1(args.matrix)
-    answers = parse_answer_file(Path(args.answers).read_bytes(), matrix.m)
-    if args.decoder == "disjunct":
-        outcome = decode_disjunct(matrix, answers)
-    elif args.d is None:
+    def answers_of(m: int) -> np.ndarray:
+        return parse_answer_file(Path(args.answers).read_bytes(), m)
+
+    if args.decoder == "brute":  # desk scale: the matrix is read whole
+        matrix = read_gtm1(args.matrix)
+        answers = answers_of(matrix.m)
+    else:  # one pass that keeps the OR of the negative rows
+        answers, survivors = _survivors_gtm1(args.matrix, answers_of)
+    if args.decoder != "disjunct" and args.d is None:
         raise InputError(f"--d is required for the {args.decoder} decoder")
-    elif args.decoder == "semi":
-        outcome = decode_semidisjunct(matrix, answers, args.d, args.max_subset_tests)
-    else:
+    if args.decoder == "brute":
         outcome = decode_separable_bruteforce(matrix, answers, args.d)
-    if outcome.status == DECODED:
-        _write_text(args.out, " ".join(str(i) for i in outcome.items) + "\n", out)
+        status, items = outcome.status, outcome.items
+    elif args.decoder == "semi" and len(survivors) > _require_int(args.d, "d", 1):
+        # the finish, on the survivors' columns alone; its items index the survivors
+        compact = TestMatrix.from_dense(_columns_gtm1(args.matrix, lambda n: survivors))
+        outcome = decode_semidisjunct(compact, answers, args.d, args.max_subset_tests)
+        status, items = outcome.status, outcome.items
+        if items is not None:
+            items = (survivors[np.array(items) - 1] + 1).tolist()
+    else:  # elimination: decode_disjunct, or decode_semidisjunct with at most d survivors
+        status, items = DECODED, (survivors + 1).tolist()
+    if status == DECODED:
+        _write_text(args.out, " ".join(str(i) for i in items) + "\n", out)
         return 0
-    if outcome.status == AMBIGUOUS:
+    if status == AMBIGUOUS:
         print(f"error: ambiguous answers: {outcome.consistent_count} consistent sets",
               file=sys.stderr)
         return 1

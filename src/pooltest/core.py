@@ -37,13 +37,20 @@ of rows. ``write_gtm1`` and ``dump_gtm1`` take a ``TestMatrix``, whose
 packed blocks are copied, or a seeded matrix of ``pooltest.randgen``, whose
 packed blocks are drawn as they are written, and unpack each block to text,
 a row wider than a block in pieces of a block. The reader checks each block
-in its read buffer and hands its cells to a sink, which packs them or keeps
-a few columns, a wide row in pieces too; a block only
-detects a defect. One sequential pass, ``_first_defect``,
-from the first failing block on (from row 1 for a file shorter than its
-header says), reports each defect, a block or a piece at a time: a bad file
-of any size, or with rows of any width, costs a few blocks of memory beyond
-its packed bits.
+in its read buffer and hands its 0/1 cells, a wide row in pieces too, to a
+sink of one of three kinds:
+
+* ``read_gtm1`` packs them into a ``TestMatrix``;
+* ``_columns_gtm1`` keeps the cells of a few columns (``answer`` ORs them;
+  ``decode`` takes the survivors' columns for its exhaustive finish);
+* ``_survivors_gtm1`` ORs the rows of the negative tests into an n-byte row
+  per worker: the items left at 0 survive elimination.
+
+The last two never hold the matrix. A block only detects a defect. One
+sequential pass, ``_first_defect``, from the first failing block on (from
+row 1 for a file shorter than its header says), reports each defect, a
+block or a piece at a time: a bad file of any size, or with rows of any
+width, costs a few blocks of memory beyond what its sink keeps.
 """
 
 from __future__ import annotations
@@ -633,15 +640,16 @@ def _packer(m: int, n: int, tag: str, seed: int):
         packed = np.packbits(cells, axis=1)
         bits[r : r + k, c >> 3 : (c >> 3) + packed.shape[1]] = packed
 
-    return pack, lambda: TestMatrix._adopt(m, n, bits, tag, seed)
+    return lambda: pack, lambda: TestMatrix._adopt(m, n, bits, tag, seed)
 
 
 def _decode(f: BinaryIO, fd: int | None = None, sink_of: Callable = _packer):
     """The matrix in ``f``, its rows moved through ``fd`` if it is not None
     (see ``_each_block``). The blocks only detect a defect: ``_first_defect``
     names it. Each checked block's 0/1 cells, its k rows from 0-based row r
-    on and columns c on, go to ``sink(r, k, c, cells)``, where ``sink, done =
-    sink_of(m, n, tag, seed)``; returns ``done()``."""
+    on and columns c on, go to ``sink(r, k, c, cells)``, where ``new_sink,
+    done = sink_of(m, n, tag, seed)`` and each worker's ``sink = new_sink()``;
+    returns ``done()``."""
     if not f.seekable():
         f = io.BytesIO(f.read())
     m, n, tag, seed = _read_header(f)
@@ -658,11 +666,12 @@ def _decode(f: BinaryIO, fd: int | None = None, sink_of: Callable = _packer):
         raise _first_defect(f, body, 0, m, n, shared)
     f.seek(body)
 
-    sink, done = sink_of(m, n, tag, seed)
+    new_sink, done = sink_of(m, n, tag, seed)
     rows = _block_rows(m, n)
 
     def make_step():
         buf = np.empty(rows * piece, dtype=np.uint8)
+        sink = new_sink()
 
         def step(r: int, k: int) -> bool:
             weights = 0
@@ -712,36 +721,96 @@ def write_gtm1(matrix, path: str | Path) -> None:
         _dump(matrix, f, _positional(f))
 
 
+def _stream_gtm1(path: str | Path, sink_of: Callable):
+    """``_decode`` of the file ``path`` into the sinks of ``sink_of``."""
+    with open(path, "rb") as f:
+        return _decode(f, _positional(f), sink_of)
+
+
 def read_gtm1(path: str | Path) -> TestMatrix:
     """Read a GTM1 file. Strict: errors carry the 1-based line and column of
     the first defect in file order."""
-    with open(path, "rb") as f:
-        return _decode(f, _positional(f))
+    return _stream_gtm1(path, _packer)
 
 
-def _answer_gtm1(path: str | Path, items_of: Callable[[int], Iterable[int]]) -> np.ndarray:
-    """``answer_vector(read_gtm1(path), items_of(n))``, never holding the
-    matrix: each block is checked as ``read_gtm1`` checks it and ORs only the
-    items' columns. An ``InputError`` or ``OSError`` of ``items_of`` is
-    raised once the whole file has passed, so every matrix error comes first."""
+def _late(get: Callable, empty):
+    """``get()`` and None, or ``empty`` and the ``InputError`` or ``OSError``
+    it raised, which a sink raises once the whole file has passed, so that
+    every matrix error comes first."""
+    try:
+        return get(), None
+    except (InputError, OSError) as exc:
+        return empty, exc
+
+
+def _columns_gtm1(path: str | Path, columns_of: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The m x k cells, as booleans, of the GTM1 file ``path`` in its 0-based
+    columns ``columns_of(n)``, ascending, never holding the matrix: each block
+    is checked as ``read_gtm1`` checks it and keeps only those columns. An
+    error of ``columns_of`` is raised once the whole file has passed (``_late``)."""
 
     def gatherer(m: int, n: int, tag: str, seed: int):
-        answers, columns, late = np.zeros(m, dtype=bool), np.empty(0, dtype=np.intp), None
-        try:
-            columns = np.array(validate_items(items_of(n), n), dtype=np.intp) - 1
-        except (InputError, OSError) as exc:
-            late = exc
+        columns, late = _late(lambda: columns_of(n), np.empty(0, dtype=np.intp))
+        out = np.zeros((m, len(columns)), dtype=bool)
 
         def gather(r: int, k: int, c: int, cells: np.ndarray) -> None:
             lo, hi = np.searchsorted(columns, (c, c + cells.shape[1]))
-            answers[r : r + k] |= cells[:, columns[lo:hi] - c].any(axis=1)
+            out[r : r + k, lo:hi] = cells[:, columns[lo:hi] - c]
 
         def done() -> np.ndarray:
             if late is not None:
                 raise late
-            return answers.view(np.uint8)
+            return out
 
-        return gather, done
+        return lambda: gather, done
 
-    with open(path, "rb") as f:
-        return _decode(f, _positional(f), gatherer)
+    return _stream_gtm1(path, gatherer)
+
+
+def _answer_gtm1(path: str | Path, items_of: Callable[[int], Iterable[int]]) -> np.ndarray:
+    """``answer_vector(read_gtm1(path), items_of(n))``: the OR of the items'
+    columns (``_columns_gtm1``), never holding the matrix."""
+    def columns_of(n: int) -> np.ndarray:
+        return np.array(validate_items(items_of(n), n), dtype=np.intp) - 1
+
+    return _columns_gtm1(path, columns_of).any(axis=1).view(np.uint8)
+
+
+def _survivors_gtm1(path: str | Path,
+                    answers_of: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The answers ``answers_of(m)``, m 0s and 1s, and the 0-based items,
+    ascending, in no negative test of the GTM1 file ``path``: ``eliminate``'s
+    survivors, never holding the matrix. Each block is checked as
+    ``read_gtm1`` checks it; each worker ORs its blocks' negative rows into an
+    n-byte row of its own, and the survivors are the 0s of those rows' OR.
+    An error of ``answers_of`` is raised once the whole file has passed
+    (``_late``)."""
+
+    def eliminator(m: int, n: int, tag: str, seed: int):
+        answers, late = _late(lambda: answers_of(m), np.ones(m, dtype=np.uint8))
+        negative = answers == 0
+        blocked = []  # one row a worker
+
+        def new_sink():
+            row = np.zeros(n, dtype=np.uint8)
+            blocked.append(row)
+
+            def eliminate(r: int, k: int, c: int, cells: np.ndarray) -> None:
+                part = row[c : c + cells.shape[1]]
+                rows = np.flatnonzero(negative[r : r + k])
+                if len(rows) > 4:  # many short rows: one OR over their copy
+                    np.bitwise_or(part, np.bitwise_or.reduce(cells[rows], axis=0), out=part)
+                else:  # a few long rows, each ORed where it lies
+                    for j in rows.tolist():
+                        np.bitwise_or(part, cells[j], out=part)
+
+            return eliminate
+
+        def done() -> tuple[np.ndarray, np.ndarray]:
+            if late is not None:
+                raise late
+            return answers, np.flatnonzero(np.bitwise_or.reduce(blocked, axis=0) == 0)
+
+        return new_sink, done
+
+    return _stream_gtm1(path, eliminator)

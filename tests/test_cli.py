@@ -11,7 +11,8 @@ import pytest
 
 from pooltest import cli, core
 from pooltest.cli import format_answer_line, parse_answer_file
-from pooltest.core import ParseError, answer_vector, dumps_gtm1, read_gtm1
+from pooltest.core import BudgetExceededError, ParseError, answer_vector, dumps_gtm1, read_gtm1
+from pooltest.decode import DECODED, decode_disjunct, decode_semidisjunct
 from pooltest.design import make_design
 from pooltest.randgen import gen_rid, gen_rrsd
 from pooltest.verify import check_property
@@ -167,6 +168,55 @@ def test_budget_exceeded_exit_code(tmp_path):
                   "--decoder", "brute", "--d", "2")
     assert res.returncode == 2
     assert "capped" in res.stderr
+
+
+def _library_decode(matrix, answers, decoder, d, budget):
+    """(exit code, stdout, stderr) of ``decode`` as the library decoders give it."""
+    try:
+        if decoder == "disjunct":
+            outcome = decode_disjunct(matrix, answers)
+        else:
+            outcome = decode_semidisjunct(matrix, answers, d, budget)
+    except BudgetExceededError as exc:
+        return 2, "", f"error: {exc}\n"
+    if outcome.status == DECODED:
+        return 0, " ".join(map(str, outcome.items)) + "\n", ""
+    return 1, "", "error: no candidate set is consistent with the answers\n"
+
+
+@pytest.mark.parametrize("tag", ["RID", "RrSD", "Explicit"])
+@pytest.mark.parametrize("block", [None, 16, 61 * 2])
+def test_decode_of_a_file_is_the_library_decode_of_the_read_matrix(tag, block, tmp_path,
+                                                                   monkeypatch, capsys):
+    # undersized 7 x 60 matrices, so that many items survive: the finish
+    # decodes, finds no set or is over its budget; rows in pieces of 16
+    # cells or in blocks of 2 rows, on 1 to 3 workers
+    rng = np.random.default_rng(len(tag))
+    if tag == "RID":
+        matrix = gen_rid(7, 60, 0.6, 4)
+    elif tag == "RrSD":
+        matrix = gen_rrsd(7, 60, 20, 4)
+    else:
+        matrix = core.TestMatrix.from_dense(rng.integers(0, 2, (7, 60), dtype=np.uint8))
+    path, afile = tmp_path / "m.gtm1", tmp_path / "a.txt"
+    core.write_gtm1(matrix, path)
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+    seen = set()
+    for trial in range(12):
+        monkeypatch.setattr(core, "_worker_count", lambda: 1 + trial % 3)
+        items = rng.choice(np.arange(1, 61), size=1 + trial % 4, replace=False)
+        answers = answer_vector(matrix, items)
+        afile.write_text(format_answer_line(answers) + "\n")
+        for decoder, d, budget in [("disjunct", 1, 10**8), ("semi", 1, 10**8), ("semi", 2, 10**8),
+                                   ("semi", 3, 10**8), ("semi", 2, 30)]:
+            expected = _library_decode(read_gtm1(path), answers, decoder, d, budget)
+            code = cli.main(["decode", "--matrix", str(path), "--answers", str(afile),
+                             "--decoder", decoder, "--d", str(d), "--max-subset-tests",
+                             str(budget)])
+            assert (code, *capsys.readouterr()) == expected, (trial, decoder, d, budget)
+            seen.add(expected[0])
+    assert seen == {0, 1, 2}
 
 
 def test_simulate_deterministic_stdout():

@@ -667,7 +667,11 @@ def _plant(text: bytes, line: int, column: int, value: bytes) -> bytes:
 
 
 def _read_error(path, data: bytes) -> str:
-    path.write_bytes(data)
+    # each distinct file under a name of its own beside ``path``: on some file
+    # systems rewriting one file costs far more than writing a new one
+    path = path.with_name(f"{hashlib.sha256(data).hexdigest()}.gtm1")
+    if not path.exists():
+        path.write_bytes(data)
     with pytest.raises(ParseError) as file_error:
         read_gtm1(path)
     with pytest.raises(ParseError) as text_error:  # one worker, in file order
@@ -1025,6 +1029,9 @@ def test_streamed_answers_are_the_answers_of_the_read_matrix(tag, n, block, tmp_
         assert got.dtype == np.uint8 and np.array_equal(got, expected), items
         # the same block loop on as many workers
         assert codec_workers[-1] == codec_workers[-2]
+        columns = np.array(sorted(items), dtype=np.intp) - 1
+        assert np.array_equal(core._columns_gtm1(path, lambda _: columns),
+                              matrix.dense()[:, columns].astype(bool)), items
 
 
 def _error_of(read) -> tuple[str, int | None, int | None]:
@@ -1033,13 +1040,10 @@ def _error_of(read) -> tuple[str, int | None, int | None]:
     return str(exc.value), exc.value.line, exc.value.column
 
 
-@pytest.mark.parametrize("model", ["rid", "rrsd"])
-def test_streamed_answers_raise_the_readers_error_on_a_file_cut_at_every_byte(
-        model, tmp_path, monkeypatch, codec_workers):
-    # every cut and each uncut file with a planted defect, once each and
-    # under a name of its own (rewriting one file can cost far more than
-    # reading it); an item past n, which is reported only on a good matrix
-    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * (COLS + 1))
+def _cut_files(model: str, tmp_path):
+    """Every cut and each uncut file with a planted defect of
+    ``_truncation_cases``, once each and under a name of its own (rewriting
+    one file can cost far more than reading it)."""
     matrix = gen_rid(ROWS, COLS, 0.5, 3) if model == "rid" else gen_rrsd(ROWS, COLS, 3, 5)
     text = dumps_gtm1(matrix).encode("ascii")
     files = {data for case in _truncation_cases(text, model) for data in case
@@ -1047,8 +1051,17 @@ def test_streamed_answers_raise_the_readers_error_on_a_file_cut_at_every_byte(
     for i, data in enumerate(sorted(files)):
         path = tmp_path / f"{i}.gtm1"
         path.write_bytes(data)
+        yield path
+
+
+@pytest.mark.parametrize("model", ["rid", "rrsd"])
+def test_streamed_answers_raise_the_readers_error_on_a_file_cut_at_every_byte(
+        model, tmp_path, monkeypatch, codec_workers):
+    # an item past n, which is reported only on a good matrix
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * (COLS + 1))
+    for path in _cut_files(model, tmp_path):
         expected = _error_of(lambda: read_gtm1(path))
-        assert _error_of(lambda: core._answer_gtm1(path, lambda n: (1, n + 1))) == expected, data
+        assert _error_of(lambda: core._answer_gtm1(path, lambda n: (1, n + 1))) == expected, path
 
 
 def test_streamed_answers_raise_an_item_error_once_the_matrix_has_passed(tmp_path):
@@ -1089,3 +1102,102 @@ def test_streamed_answers_hold_a_few_blocks_of_memory(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert np.array_equal(answers, answer_vector(matrix, items))
     assert peaks[0] > matrix.bits.nbytes and peaks[1] < 8 * block, peaks
+
+
+# ---------------------------------------------------------------------------
+# GTM1 survivors read in one pass, without the matrix
+# ---------------------------------------------------------------------------
+
+def _answer_sets(matrix: TestMatrix) -> list[np.ndarray]:
+    """All negative, all positive, and the answers of a few defective sets."""
+    n = matrix.n
+    sets = [(1,), (n,), (2, n - 1), tuple(range(1, n + 1, 3))]
+    return [np.zeros(matrix.m, np.uint8), np.ones(matrix.m, np.uint8),
+            *(answer_vector(matrix, items) for items in sets)]
+
+
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+@pytest.mark.parametrize("n", [7, 8, 9, 96, 100])
+@pytest.mark.parametrize("block", [1, 8, 15, 16, 40, "2 rows", "3 rows", None])
+def test_streamed_survivors_are_the_survivors_of_the_read_matrix(tag, n, block, tmp_path,
+                                                                 monkeypatch, codec_workers):
+    # 7 rows in blocks of 2 or 3 rows, or wider than a block, in pieces of
+    # 8, 16 or 40 cells, on 1, 2 or 3 workers; at n = 96 the last piece of a
+    # row is its LF alone
+    matrix = _answer_matrix(tag, 7, n)
+    path = tmp_path / "m.gtm1"
+    write_gtm1(matrix, path)
+    if isinstance(block, str):
+        block = int(block[0]) * (n + 1)
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(core, "_worker_count", lambda: workers)
+        for answers in _answer_sets(matrix):
+            expected = eliminate(read_gtm1(path), answers)
+            got, survivors = core._survivors_gtm1(path, lambda m: answers)
+            assert got is answers
+            assert tuple((survivors + 1).tolist()) == expected, (workers, answers)
+            # the same block loop on as many workers
+            assert codec_workers[-1] == codec_workers[-2] <= workers
+
+
+@pytest.mark.parametrize("model", ["rid", "rrsd"])
+def test_streamed_survivors_raise_the_readers_error_on_a_file_cut_at_every_byte(
+        model, tmp_path, monkeypatch, codec_workers):
+    # answers that are themselves an error, reported only on a good matrix
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * (COLS + 1))
+
+    def bad_answers(m):
+        raise ParseError("bad answers", line=1)
+
+    for path in _cut_files(model, tmp_path):
+        expected = _error_of(lambda: read_gtm1(path))
+        assert _error_of(lambda: core._survivors_gtm1(path, bad_answers)) == expected, path
+
+
+def test_streamed_survivors_raise_an_answers_error_once_the_matrix_has_passed(tmp_path):
+    path = tmp_path / "m.gtm1"
+    path.write_bytes(b"GTM1 2 3 RID 0\n010\n001\n")
+    seen = []
+
+    def bad_answers(m):
+        seen.append(m)
+        raise ParseError(f"expected {m} answer characters", line=1)
+
+    with pytest.raises(ParseError, match="line 1: expected 2 answer characters"):
+        core._survivors_gtm1(path, bad_answers)
+
+    def missing(m):
+        raise FileNotFoundError("no such file")
+
+    with pytest.raises(FileNotFoundError):
+        core._survivors_gtm1(path, missing)
+    path.write_bytes(b"GTM1 2 3 RID 0\n010\n002\n")
+    assert _error_of(lambda: core._survivors_gtm1(path, missing)) == (
+        "line 3, column 3: invalid character '2'", 3, 3)
+    assert seen == [2]
+
+
+def test_streamed_survivors_hold_a_few_blocks_and_a_row_a_worker_of_memory(tmp_path, monkeypatch):
+    # 1 MiB of packed bits in blocks of 64 KiB, on 2 workers: the reader
+    # holds the bits, the survivors a block and an n-byte row a worker
+    block = 1 << 16
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
+    matrix = gen_rid(1 << 13, 1023, 0.5, 3)
+    assert matrix.bits.nbytes > 8 * block
+    path = tmp_path / "m.gtm1"
+    write_gtm1(matrix, path)
+    answers = answer_vector(matrix, (1, 600, 1023))
+    peaks = []
+    for read in (lambda: eliminate(read_gtm1(path), answers),
+                 lambda: tuple((core._survivors_gtm1(path, lambda m: answers)[1] + 1).tolist())):
+        tracemalloc.start()
+        try:
+            survivors = read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert survivors == eliminate(matrix, answers)
+    assert peaks[0] > matrix.bits.nbytes and peaks[1] < 4 * block + 2 * matrix.n, peaks
