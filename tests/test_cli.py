@@ -198,7 +198,7 @@ def test_decode_of_a_file_is_the_library_decode_of_the_read_matrix(tag, block, t
         matrix = gen_rrsd(7, 60, 20, 4)
     else:
         matrix = core.TestMatrix.from_dense(rng.integers(0, 2, (7, 60), dtype=np.uint8))
-    path, afile = tmp_path / "m.gtm1", tmp_path / "a.txt"
+    path = tmp_path / "m.gtm1"
     core.write_gtm1(matrix, path)
     if block is not None:
         monkeypatch.setattr(core, "_BLOCK_BYTES", block)
@@ -207,6 +207,7 @@ def test_decode_of_a_file_is_the_library_decode_of_the_read_matrix(tag, block, t
         monkeypatch.setattr(core, "_worker_count", lambda: 1 + trial % 3)
         items = rng.choice(np.arange(1, 61), size=1 + trial % 4, replace=False)
         answers = answer_vector(matrix, items)
+        afile = tmp_path / f"a{trial}.txt"  # a new file: a rewrite can cost far more
         afile.write_text(format_answer_line(answers) + "\n")
         for decoder, d, budget in [("disjunct", 1, 10**8), ("semi", 1, 10**8), ("semi", 2, 10**8),
                                    ("semi", 3, 10**8), ("semi", 2, 30)]:
