@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -45,12 +46,11 @@ from .core import (
     InputError,
     ParseError,
     TestMatrix,
-    _answer_gtm1,
     _canonical_int,
     _canonical_real,
-    _columns_gtm1,
+    _eliminator,
+    _gatherer,
     _require_int,
-    _survivors_gtm1,
     dump_gtm1,
     read_gtm1,
     validate_items,
@@ -281,7 +281,10 @@ def _cmd_generate(args, out) -> int:
 
 
 def _cmd_answer(args, out) -> int:
-    answers = _answer_gtm1(args.matrix, lambda n: _read_items(args, n))
+    def columns_of(n: int) -> np.ndarray:
+        return np.array(_read_items(args, n), dtype=np.intp) - 1
+
+    answers = read_gtm1(args.matrix, _gatherer(columns_of, any_of=True))
     _write_text(args.out, format_answer_line(answers) + "\n", out)
     return 0
 
@@ -294,15 +297,22 @@ def _cmd_decode(args, out) -> int:
         matrix = read_gtm1(args.matrix)
         answers = answers_of(matrix.m)
     else:  # one pass that keeps the OR of the negative rows
-        answers, survivors = _survivors_gtm1(args.matrix, answers_of)
+        answers, survivors = read_gtm1(args.matrix, _eliminator(answers_of))
     if args.decoder != "disjunct" and args.d is None:
         raise InputError(f"--d is required for the {args.decoder} decoder")
     if args.decoder == "brute":
         outcome = decode_separable_bruteforce(matrix, answers, args.d)
         status, items = outcome.status, outcome.items
     elif args.decoder == "semi" and len(survivors) > _require_int(args.d, "d", 1):
+        # decode_semidisjunct's refusal, before the second pass
+        if math.comb(len(survivors), args.d) > args.max_subset_tests:
+            raise BudgetExceededError(
+                f"exhaustive finish needs C({len(survivors)}, {args.d}) subset tests, "
+                f"over the budget of {args.max_subset_tests}"
+            )
         # the finish, on the survivors' columns alone; its items index the survivors
-        compact = TestMatrix.from_dense(_columns_gtm1(args.matrix, lambda n: survivors))
+        bits = read_gtm1(args.matrix, _gatherer(lambda n: survivors))
+        compact = TestMatrix._adopt(len(answers), len(survivors), bits, "Explicit", 0)
         outcome = decode_semidisjunct(compact, answers, args.d, args.max_subset_tests)
         status, items = outcome.status, outcome.items
         if items is not None:

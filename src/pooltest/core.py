@@ -38,13 +38,14 @@ packed blocks are copied, or a seeded matrix of ``pooltest.randgen``, whose
 packed blocks are drawn as they are written, and unpack each block to text,
 a row wider than a block in pieces of a block. The reader checks each block
 in its read buffer and hands its 0/1 cells, a wide row in pieces too, to a
-sink of one of three kinds:
+sink, which ``read_gtm1(path, sink_of)`` chooses:
 
-* ``read_gtm1`` packs them into a ``TestMatrix``;
-* ``_columns_gtm1`` keeps the cells of a few columns (``answer`` ORs them;
-  ``decode`` takes the survivors' columns for its exhaustive finish);
-* ``_survivors_gtm1`` ORs the rows of the negative tests into an n-byte row
-  per worker: the items left at 0 survive elimination.
+* ``_packer``, the default, packs them into a ``TestMatrix``;
+* ``_gatherer`` keeps a few columns, packed, or only each row's OR of them
+  (``answer`` takes its items' OR; ``decode`` the survivors' columns for its
+  exhaustive finish);
+* ``_eliminator`` ORs the rows of the negative tests into an n-byte row per
+  worker: the items left at 0 survive elimination.
 
 The last two never hold the matrix. A block only detects a defect. One
 sequential pass, ``_first_defect``, from the first failing block on (from
@@ -721,16 +722,15 @@ def write_gtm1(matrix, path: str | Path) -> None:
         _dump(matrix, f, _positional(f))
 
 
-def _stream_gtm1(path: str | Path, sink_of: Callable):
-    """``_decode`` of the file ``path`` into the sinks of ``sink_of``."""
+def read_gtm1(path: str | Path, sink_of: Callable = _packer):
+    """Read a GTM1 file. Strict: errors carry the 1-based line and column of
+    the first defect in file order.
+
+    ``sink_of`` (see ``_decode``) says what is kept of the checked cells: by
+    default the ``TestMatrix``. ``_gatherer`` keeps a few columns and
+    ``_eliminator`` elimination's survivors, never holding the matrix."""
     with open(path, "rb") as f:
         return _decode(f, _positional(f), sink_of)
-
-
-def read_gtm1(path: str | Path) -> TestMatrix:
-    """Read a GTM1 file. Strict: errors carry the 1-based line and column of
-    the first defect in file order."""
-    return _stream_gtm1(path, _packer)
 
 
 def _late(get: Callable, empty):
@@ -743,50 +743,51 @@ def _late(get: Callable, empty):
         return empty, exc
 
 
-def _columns_gtm1(path: str | Path, columns_of: Callable[[int], np.ndarray]) -> np.ndarray:
-    """The m x k cells, as booleans, of the GTM1 file ``path`` in its 0-based
-    columns ``columns_of(n)``, ascending, never holding the matrix: each block
-    is checked as ``read_gtm1`` checks it and keeps only those columns. An
-    error of ``columns_of`` is raised once the whole file has passed (``_late``)."""
+def _gatherer(columns_of: Callable[[int], np.ndarray], any_of: bool = False) -> Callable:
+    """The ``read_gtm1`` sink of the k 0-based columns ``columns_of(n)``,
+    ascending: their m x k cells packed as a ``TestMatrix`` packs its rows,
+    uint8 (m, ceil(k/8)); or, if ``any_of``, each row's OR of them, m 0s and
+    1s (``answer``). Each worker gathers a block's rows, a wide row's pieces
+    too, into a buffer of its own, no bigger than a block, and keeps them at
+    the rows' last piece. An error of ``columns_of`` is raised once the whole
+    file has passed (``_late``)."""
 
-    def gatherer(m: int, n: int, tag: str, seed: int):
+    def sink_of(m: int, n: int, tag: str, seed: int):
         columns, late = _late(lambda: columns_of(n), np.empty(0, dtype=np.intp))
-        out = np.zeros((m, len(columns)), dtype=bool)
+        k = len(columns)
+        out = np.empty(m if any_of else (m, (k + 7) // 8), dtype=np.uint8)
+        rows = _block_rows(m, n)
 
-        def gather(r: int, k: int, c: int, cells: np.ndarray) -> None:
-            lo, hi = np.searchsorted(columns, (c, c + cells.shape[1]))
-            out[r : r + k, lo:hi] = cells[:, columns[lo:hi] - c]
+        def new_sink():
+            gathered = np.empty((rows, k), dtype=bool)  # at most a block: k <= n
+
+            def gather(r: int, j: int, c: int, cells: np.ndarray) -> None:
+                lo, hi = np.searchsorted(columns, (c, c + cells.shape[1]))
+                gathered[:j, lo:hi] = cells[:, columns[lo:hi] - c]
+                if c + cells.shape[1] == n:  # every column of these rows is in
+                    block = gathered[:j]
+                    out[r : r + j] = block.any(axis=1) if any_of else np.packbits(block, axis=1)
+
+            return gather
 
         def done() -> np.ndarray:
             if late is not None:
                 raise late
             return out
 
-        return lambda: gather, done
+        return new_sink, done
 
-    return _stream_gtm1(path, gatherer)
-
-
-def _answer_gtm1(path: str | Path, items_of: Callable[[int], Iterable[int]]) -> np.ndarray:
-    """``answer_vector(read_gtm1(path), items_of(n))``: the OR of the items'
-    columns (``_columns_gtm1``), never holding the matrix."""
-    def columns_of(n: int) -> np.ndarray:
-        return np.array(validate_items(items_of(n), n), dtype=np.intp) - 1
-
-    return _columns_gtm1(path, columns_of).any(axis=1).view(np.uint8)
+    return sink_of
 
 
-def _survivors_gtm1(path: str | Path,
-                    answers_of: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The answers ``answers_of(m)``, m 0s and 1s, and the 0-based items,
-    ascending, in no negative test of the GTM1 file ``path``: ``eliminate``'s
-    survivors, never holding the matrix. Each block is checked as
-    ``read_gtm1`` checks it; each worker ORs its blocks' negative rows into an
-    n-byte row of its own, and the survivors are the 0s of those rows' OR.
-    An error of ``answers_of`` is raised once the whole file has passed
-    (``_late``)."""
+def _eliminator(answers_of: Callable[[int], np.ndarray]) -> Callable:
+    """The ``read_gtm1`` sink of the answers ``answers_of(m)``, m 0s and 1s,
+    and the 0-based items, ascending, in no negative test: ``eliminate``'s
+    survivors. Each worker ORs its blocks' negative rows into an n-byte row
+    of its own, and the survivors are the 0s of those rows' OR. An error of
+    ``answers_of`` is raised once the whole file has passed (``_late``)."""
 
-    def eliminator(m: int, n: int, tag: str, seed: int):
+    def sink_of(m: int, n: int, tag: str, seed: int):
         answers, late = _late(lambda: answers_of(m), np.ones(m, dtype=np.uint8))
         negative = answers == 0
         blocked = []  # one row a worker
@@ -797,12 +798,8 @@ def _survivors_gtm1(path: str | Path,
 
             def eliminate(r: int, k: int, c: int, cells: np.ndarray) -> None:
                 part = row[c : c + cells.shape[1]]
-                rows = np.flatnonzero(negative[r : r + k])
-                if len(rows) > 4:  # many short rows: one OR over their copy
-                    np.bitwise_or(part, np.bitwise_or.reduce(cells[rows], axis=0), out=part)
-                else:  # a few long rows, each ORed where it lies
-                    for j in rows.tolist():
-                        np.bitwise_or(part, cells[j], out=part)
+                for j in np.flatnonzero(negative[r : r + k]).tolist():
+                    np.bitwise_or(part, cells[j], out=part)
 
             return eliminate
 
@@ -813,4 +810,4 @@ def _survivors_gtm1(path: str | Path,
 
         return new_sink, done
 
-    return _stream_gtm1(path, eliminator)
+    return sink_of

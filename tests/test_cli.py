@@ -220,6 +220,26 @@ def test_decode_of_a_file_is_the_library_decode_of_the_read_matrix(tag, block, t
     assert seen == {0, 1, 2}
 
 
+def test_decode_refuses_an_over_budget_finish_before_its_second_pass(tmp_path, monkeypatch,
+                                                                   capsys):
+    # all 60 items of a 7 x 60 matrix survive all-positive answers: one
+    # pass finds them, and a second reads their columns only in the budget
+    path, afile = tmp_path / "m.gtm1", tmp_path / "a.txt"
+    matrix = gen_rid(7, 60, 0.5, 4)
+    core.write_gtm1(matrix, path)
+    afile.write_text("1" * 7 + "\n")
+    passes = []
+    decode = core._decode
+    monkeypatch.setattr(core, "_decode", lambda *a: passes.append(a) or decode(*a))
+    for budget, count in [(59, 1), (60, 2)]:
+        passes.clear()
+        code = cli.main(["decode", "--matrix", str(path), "--answers", str(afile),
+                         "--d", "1", "--max-subset-tests", str(budget)])
+        expected = _library_decode(matrix, np.ones(7, np.uint8), "semi", 1, budget)
+        assert (code, *capsys.readouterr()) == expected and len(passes) == count, budget
+    assert expected[0] != 2
+
+
 def test_simulate_deterministic_stdout():
     args = ("simulate", "--n", "60", "--d", "2", "--delta", "0.2",
             "--property", "semi", "--trials", "50", "--seed", "7")

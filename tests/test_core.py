@@ -1008,6 +1008,18 @@ def _answer_matrix(tag: str, m: int, n: int) -> TestMatrix:
     return TestMatrix.from_dense(dense)
 
 
+def _streamed_answers(path, items_of):
+    """``answer``'s one pass: each row's OR of the columns of ``items_of(n)``."""
+    def columns_of(n):
+        return np.array(validate_items(items_of(n), n), dtype=np.intp) - 1
+
+    return read_gtm1(path, core._gatherer(columns_of, any_of=True))
+
+
+def _streamed_survivors(path, answers_of):
+    return read_gtm1(path, core._eliminator(answers_of))
+
+
 @pytest.mark.parametrize("tag", MODEL_TAGS)
 @pytest.mark.parametrize("n", [7, 8, 9, 96, 100])
 @pytest.mark.parametrize("block", [1, 8, 15, 16, 40, "2 rows", "3 rows", None])
@@ -1025,13 +1037,13 @@ def test_streamed_answers_are_the_answers_of_the_read_matrix(tag, n, block, tmp_
     edges = {1, 8, 9, 15, 16, 17, 40, 41, n - 1, n}
     for items in [(), (1,), (n,), tuple(i for i in edges if 1 <= i <= n), range(1, n + 1)]:
         expected = answer_vector(read_gtm1(path), items)
-        got = core._answer_gtm1(path, lambda _: items)
+        got = _streamed_answers(path, lambda _: items)
         assert got.dtype == np.uint8 and np.array_equal(got, expected), items
         # the same block loop on as many workers
         assert codec_workers[-1] == codec_workers[-2]
         columns = np.array(sorted(items), dtype=np.intp) - 1
-        assert np.array_equal(core._columns_gtm1(path, lambda _: columns),
-                              matrix.dense()[:, columns].astype(bool)), items
+        assert np.array_equal(read_gtm1(path, core._gatherer(lambda _: columns)),
+                              np.packbits(matrix.dense()[:, columns], axis=1)), items
 
 
 def _error_of(read) -> tuple[str, int | None, int | None]:
@@ -1061,22 +1073,22 @@ def test_streamed_answers_raise_the_readers_error_on_a_file_cut_at_every_byte(
     monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * (COLS + 1))
     for path in _cut_files(model, tmp_path):
         expected = _error_of(lambda: read_gtm1(path))
-        assert _error_of(lambda: core._answer_gtm1(path, lambda n: (1, n + 1))) == expected, path
+        assert _error_of(lambda: _streamed_answers(path, lambda n: (1, n + 1))) == expected, path
 
 
 def test_streamed_answers_raise_an_item_error_once_the_matrix_has_passed(tmp_path):
     path = tmp_path / "m.gtm1"
     path.write_bytes(b"GTM1 2 3 RID 0\n010\n001\n")
     with pytest.raises(InputError, match="item index must be <= 3, got 4"):
-        core._answer_gtm1(path, lambda n: (n + 1,))
+        _streamed_answers(path, lambda n: (n + 1,))
 
     def missing(n):
         raise FileNotFoundError("no such file")
 
     with pytest.raises(FileNotFoundError):
-        core._answer_gtm1(path, missing)
+        _streamed_answers(path, missing)
     path.write_bytes(b"GTM1 2 3 RID 0\n010\n002\n")
-    assert _error_of(lambda: core._answer_gtm1(path, missing)) == (
+    assert _error_of(lambda: _streamed_answers(path, missing)) == (
         "line 3, column 3: invalid character '2'", 3, 3)
 
 
@@ -1093,7 +1105,7 @@ def test_streamed_answers_hold_a_few_blocks_of_memory(tmp_path, monkeypatch):
     items = (1, 600, 1023)
     peaks = []
     for read in (lambda: answer_vector(read_gtm1(path), items),
-                 lambda: core._answer_gtm1(path, lambda n: items)):
+                 lambda: _streamed_answers(path, lambda n: items)):
         tracemalloc.start()
         try:
             answers = read()
@@ -1102,6 +1114,34 @@ def test_streamed_answers_hold_a_few_blocks_of_memory(tmp_path, monkeypatch):
             tracemalloc.stop()
         assert np.array_equal(answers, answer_vector(matrix, items))
     assert peaks[0] > matrix.bits.nbytes and peaks[1] < 8 * block, peaks
+
+
+def test_gathered_columns_hold_their_packed_bits_and_a_few_blocks_of_memory(tmp_path,
+                                                                          monkeypatch):
+    # 8192 x 1023 in blocks of 64 KiB, on 2 workers: the answers of every
+    # item hold m bytes, and 512 gathered columns their packed bits, each
+    # with a few blocks a worker, where one byte a cell would hold 4 MiB
+    block = 1 << 16
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(core, "_worker_count", lambda: 2)
+    matrix = gen_rid(1 << 13, 1023, 0.5, 3)
+    path = tmp_path / "m.gtm1"
+    write_gtm1(matrix, path)
+    columns = np.arange(0, 1023, 2)
+    packed = np.packbits(matrix.dense()[:, columns], axis=1)
+    assert matrix.m * len(columns) > packed.nbytes + 8 * block
+    cases = [(lambda: _streamed_answers(path, lambda n: range(1, n + 1)),
+              answer_vector(matrix, range(1, matrix.n + 1)), matrix.m),
+             (lambda: read_gtm1(path, core._gatherer(lambda n: columns)), packed, packed.nbytes)]
+    for read, expected, kept in cases:
+        tracemalloc.start()
+        try:
+            got = read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, expected)
+        assert peak < kept + 8 * block, (peak, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -1135,7 +1175,7 @@ def test_streamed_survivors_are_the_survivors_of_the_read_matrix(tag, n, block, 
         monkeypatch.setattr(core, "_worker_count", lambda: workers)
         for answers in _answer_sets(matrix):
             expected = eliminate(read_gtm1(path), answers)
-            got, survivors = core._survivors_gtm1(path, lambda m: answers)
+            got, survivors = _streamed_survivors(path, lambda m: answers)
             assert got is answers
             assert tuple((survivors + 1).tolist()) == expected, (workers, answers)
             # the same block loop on as many workers
@@ -1153,7 +1193,7 @@ def test_streamed_survivors_raise_the_readers_error_on_a_file_cut_at_every_byte(
 
     for path in _cut_files(model, tmp_path):
         expected = _error_of(lambda: read_gtm1(path))
-        assert _error_of(lambda: core._survivors_gtm1(path, bad_answers)) == expected, path
+        assert _error_of(lambda: _streamed_survivors(path, bad_answers)) == expected, path
 
 
 def test_streamed_survivors_raise_an_answers_error_once_the_matrix_has_passed(tmp_path):
@@ -1166,15 +1206,15 @@ def test_streamed_survivors_raise_an_answers_error_once_the_matrix_has_passed(tm
         raise ParseError(f"expected {m} answer characters", line=1)
 
     with pytest.raises(ParseError, match="line 1: expected 2 answer characters"):
-        core._survivors_gtm1(path, bad_answers)
+        _streamed_survivors(path, bad_answers)
 
     def missing(m):
         raise FileNotFoundError("no such file")
 
     with pytest.raises(FileNotFoundError):
-        core._survivors_gtm1(path, missing)
+        _streamed_survivors(path, missing)
     path.write_bytes(b"GTM1 2 3 RID 0\n010\n002\n")
-    assert _error_of(lambda: core._survivors_gtm1(path, missing)) == (
+    assert _error_of(lambda: _streamed_survivors(path, missing)) == (
         "line 3, column 3: invalid character '2'", 3, 3)
     assert seen == [2]
 
@@ -1192,7 +1232,7 @@ def test_streamed_survivors_hold_a_few_blocks_and_a_row_a_worker_of_memory(tmp_p
     answers = answer_vector(matrix, (1, 600, 1023))
     peaks = []
     for read in (lambda: eliminate(read_gtm1(path), answers),
-                 lambda: tuple((core._survivors_gtm1(path, lambda m: answers)[1] + 1).tolist())):
+                 lambda: tuple((_streamed_survivors(path, lambda m: answers)[1] + 1).tolist())):
         tracemalloc.start()
         try:
             survivors = read()
