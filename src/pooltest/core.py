@@ -56,6 +56,7 @@ width, costs a few blocks of memory beyond what its sink keeps.
 
 from __future__ import annotations
 
+import errno
 import io
 import math
 import os
@@ -472,8 +473,11 @@ def _dump(matrix, f: BinaryIO, fd: int | None) -> None:
     k rows from row r on, packed as ``TestMatrix.bits`` holds them, into the
     uint8 (k, ceil(n/8)) array ``out``: a seeded matrix of
     ``pooltest.randgen`` draws them there, so it is written without ever
-    being held whole. Each block is expanded to text with one unpack and
-    one add, a row wider than a block in pieces of a block (``_row_piece``).
+    being held whole. Each block, or each piece of a row wider than a
+    block (``_row_piece``), is unpacked straight into the layout of its
+    text, a 0 in each LF's place, then ORed with '0' and given its LFs in
+    place. A file written by position is given its whole size before any
+    row is drawn.
     """
     m, n = matrix.m, matrix.n
     width, piece = n + 1, _row_piece(n)
@@ -481,21 +485,25 @@ def _dump(matrix, f: BinaryIO, fd: int | None) -> None:
     f.write(header)
     if fd is not None:
         f.flush()  # the blocks go around f, after the header
+        try:  # the whole size first: ext4 then does no per-page delayed allocation
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fd, 0, len(header) + m * width)
+        except OSError as exc:  # a file system that cannot is skipped, a full disk is not
+            if exc.errno not in (errno.EINVAL, errno.EOPNOTSUPP):
+                raise
     rows = _block_rows(m, n)
 
     def make_step():
         packed = np.empty((rows, (n + 7) // 8), dtype=np.uint8)
-        buf = np.empty(rows * piece, dtype=np.uint8)
 
         def step(r: int, k: int) -> bool:
             matrix._fill_bits(r, k, packed[:k])
             for c in range(0, width, piece):  # one piece, unless a row is wider than a block
                 w = min(piece, width - c)
-                blk = buf[: k * w].reshape(k, w)
-                cells = blk[:, : n - c]
-                count = cells.shape[1]
-                bits = packed[:k, c >> 3 : (c + count + 7) >> 3]
-                np.add(np.unpackbits(bits, axis=1, count=count), _ZERO, out=cells)
+                # w cells from column c on, with 0s past column n: the padding
+                # bits, or unpackbits' zero fill when n % 8 == 0
+                blk = np.unpackbits(packed[:k, c >> 3 : (c + w + 7) >> 3], axis=1, count=w)
+                np.bitwise_or(blk, _ZERO, out=blk)
                 if c + w > n:  # the rows' last piece, with their LFs
                     blk[:, n - c] = _LF
                 if fd is None:

@@ -62,7 +62,7 @@ at least 2^22 cells across a thread pool with one worker per CPU the
 process may run on; a smaller one is drawn inline, where starting threads
 would cost more than they save. A rid drawer draws round 1 of short rows
 several at a time, in groups of about 2^14 raw words, with one ``random_raw``
-call, and a wider row in chunks of 2^18 cells, whole 64-cell words. Each
+call, and a wider row in chunks of 2^20 cells, whole 64-cell words. Each
 thread keeps its own copy of the stream and the word it is at, and jumps to
 each read that does not follow its last one; ties are broken only after a
 row's round 1 is complete. So the bits do not depend on the number of
@@ -85,9 +85,11 @@ __all__ = ["gen_rid", "gen_rrsd", "seeded_matrix"]
 _PARALLEL_CELLS = 1 << 22
 # Cells per rid round-1 draw from one row; a wider row is drawn in chunks of
 # this many cells, whole 64-cell words, so that every chunk takes whole words
-# of each plane. Calls this long let two workers overlap; with 2^16-cell
-# chunks they spent their time handing the interpreter lock back and forth.
-_CHUNK_CELLS = 1 << 18
+# of each plane, and a row of 10^6 cells in one call. random_raw and the
+# plane compares release the interpreter lock, so calls this long let two
+# workers overlap; with 2^16-cell chunks they spent their time handing the
+# lock back and forth.
+_CHUNK_CELLS = 1 << 20
 # Rows of at most _CHUNK_CELLS cells are drawn in groups of several rows, of
 # about this many raw words (128 KiB; 2^19 cells at two planes, 2^17 at
 # eight): one numpy call per group, not per row, and small buffers, which

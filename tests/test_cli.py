@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pooltest import cli, core
+from pooltest import cli, core, randgen
 from pooltest.cli import format_answer_line, parse_answer_file
 from pooltest.core import BudgetExceededError, ParseError, answer_vector, dumps_gtm1, read_gtm1
 from pooltest.decode import DECODED, decode_disjunct, decode_semidisjunct
@@ -287,8 +288,11 @@ def test_generate_rrsd_rows(tmp_path):
 # read later bytes from the row's window, where a rrsd row's choice reads
 # too. It was a deliberate change of the random stream, as the per-row
 # streams before it were; the digests must not change again by accident.
-# The last two matrices hold at least 2^22 cells, so their rows are drawn on
-# a thread pool.
+# The fourth and fifth matrices hold at least 2^22 cells, so their rows are
+# drawn on a thread pool. The last two have rows of 10^6 and 2,100,001 cells,
+# one rid draw a row and three (two of 2^20 cells); their digests were taken
+# when a row was drawn in chunks of 2^18 cells, and they pin that the chunk
+# size leaves the bits as they were.
 GOLDEN_GENERATE = [
     (("--n", "10000", "--d", "4", "--delta", "0.1", "--property", "semi", "--seed", "17"),
      "82aadf2fa12065b458732f836480339d791fdaf3cd8f0216292efddb9f691c11"),
@@ -302,6 +306,10 @@ GOLDEN_GENERATE = [
     (("--model", "rrsd", "--n", "100000", "--m", "64", "--row-weight", "20000",
       "--seed", "37"),
      "1dec095a05319819b010c9c65fd1ed032a194ebd4353735f5ecb8a58b04a521b"),
+    (("--n", "1000000", "--m", "4", "--zero-prob", "0.875", "--seed", "1"),
+     "c361280593f9d49797cc4b73659af51a897befa8e5ac8e85db8a385c7f7faeb6"),
+    (("--n", "2100001", "--m", "3", "--zero-prob", "0.7", "--seed", "1"),
+     "c14cef1a49aea6c7a45977d9d63f58d215d00494c6eb7f73202b49b3fec94795"),
 ]
 
 
@@ -483,6 +491,42 @@ def test_generate_to_stdout_keeps_the_files_content(mode, monkeypatch, tmp_path)
         stdout.detach()
     expected = "old\nbefore\n" + dumps_gtm1(gen_rid(9, 100, 0.5, 4))
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_generate_to_stdout_never_preallocates(monkeypatch, tmp_path):
+    # not even a regular file: standard output is written in order
+    calls = []
+    monkeypatch.setattr(os, "posix_fallocate", lambda *args: calls.append(args), raising=False)
+    path = tmp_path / "out.gtm1"
+    with open(path, "wb") as raw:
+        stdout = io.TextIOWrapper(raw, encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["generate", "--n", "100", "--m", "9", "--zero-prob", "0.5",
+                         "--seed", "4"]) == 0
+        stdout.flush()
+        stdout.detach()
+    assert path.read_bytes() == dumps_gtm1(gen_rid(9, 100, 0.5, 4)).encode("ascii")
+    assert calls == []
+
+
+def test_generate_stops_at_a_full_disk_before_drawing_a_row(monkeypatch, tmp_path, capsys):
+    drawn = []
+    fill_bits = randgen._Rid._fill_bits
+
+    def counting(self, r, k, out):
+        drawn.append(r)
+        fill_bits(self, r, k, out)
+
+    def full(fd, offset, size):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(randgen._Rid, "_fill_bits", counting)
+    monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+    path = tmp_path / "m.gtm1"
+    assert cli.main(["generate", "--n", "100", "--m", "9", "--zero-prob", "0.5",
+                     "--out", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert drawn == []
 
 
 def _design_m_n_param(n, model):

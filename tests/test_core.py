@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import io
+import itertools
 import os
 import re
 import threading
@@ -577,13 +579,31 @@ def gtm1_matrices(draw):
     return TestMatrix.from_dense(dense, model_tag=tag, seed=seed)
 
 
+_PATH_NUMBERS = itertools.count()
+
+
+def _new_path(tmp_path):
+    """A file path in ``tmp_path`` that no example has used: on some file
+    systems rewriting one file costs far more than writing a new one."""
+    return tmp_path / f"{next(_PATH_NUMBERS)}.gtm1"
+
+
+def _written(path, data: bytes):
+    """A file beside ``path`` that holds ``data``, named by its SHA-256 and
+    written once, so that no example rewrites a file (see ``_new_path``)."""
+    path = path.with_name(f"{hashlib.sha256(data).hexdigest()}.gtm1")
+    if not path.exists():
+        path.write_bytes(data)
+    return path
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(matrix=gtm1_matrices(), block_rows=st.integers(1, 7))
 def test_gtm1_file_round_trip_is_byte_exact(matrix, block_rows, tmp_path, monkeypatch,
                                             codec_workers):
     monkeypatch.setattr(core, "_BLOCK_BYTES", block_rows * (matrix.n + 1))
-    first, second = tmp_path / "a.gtm1", tmp_path / "b.gtm1"
+    first, second = _new_path(tmp_path), _new_path(tmp_path)
     write_gtm1(matrix, first)
     assert first.read_bytes() == reference_dumps(matrix).encode("ascii")
     back = read_gtm1(first)
@@ -667,11 +687,7 @@ def _plant(text: bytes, line: int, column: int, value: bytes) -> bytes:
 
 
 def _read_error(path, data: bytes) -> str:
-    # each distinct file under a name of its own beside ``path``: on some file
-    # systems rewriting one file costs far more than writing a new one
-    path = path.with_name(f"{hashlib.sha256(data).hexdigest()}.gtm1")
-    if not path.exists():
-        path.write_bytes(data)
+    path = _written(path, data)
     with pytest.raises(ParseError) as file_error:
         read_gtm1(path)
     with pytest.raises(ParseError) as text_error:  # one worker, in file order
@@ -771,8 +787,7 @@ def test_threaded_reader_agrees_with_the_sequential_reader(matrix, block_rows, d
     for _ in range(data.draw(st.integers(1, 3), label="changes")):
         pos = data.draw(st.integers(header, len(text) - 1), label="pos")
         text[pos] = data.draw(st.sampled_from(b"01\nx\r\xe9"), label="value")
-    path = tmp_path / "m.gtm1"
-    path.write_bytes(text)
+    path = _written(tmp_path / "m.gtm1", bytes(text))
     try:
         expected = core._decode(io.BytesIO(bytes(text)))
     except ParseError as exc:
@@ -888,8 +903,7 @@ def test_rows_wider_than_a_block_read_in_pieces_as_whole_rows(matrix, block, dat
         expected = core._decode(io.BytesIO(bytes(text)))
     except ParseError as exc:
         expected = str(exc)
-    path = tmp_path / "m.gtm1"
-    path.write_bytes(text)
+    path = _written(tmp_path / "m.gtm1", bytes(text))
     with monkeypatch.context() as patch:
         patch.setattr(core, "_BLOCK_BYTES", block)
         for read in (lambda: read_gtm1(path), lambda: core._decode(io.BytesIO(bytes(text)))):
@@ -993,6 +1007,144 @@ def test_codec_moves_blocks_by_position_only_in_regular_files(tmp_path):
     read, write = os.pipe()
     with open(read, "rb") as r, open(write, "wb") as w:
         assert core._positional(r) is None and core._positional(w) is None
+
+
+# ---------------------------------------------------------------------------
+# GTM1 writer: the text layout, the preallocated file and the write pattern
+# ---------------------------------------------------------------------------
+
+def _dense_text(matrix) -> bytes:
+    """The GTM1 bytes of ``matrix``, rendered cell by cell from ``dense()``."""
+    lines = [f"GTM1 {matrix.m} {matrix.n} {matrix.model_tag} {matrix.seed}"]
+    lines += ["".join("01"[cell] for cell in row) for row in matrix.dense().tolist()]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("n,block", [(n, None) for n in (1, 7, 8, 9, 63, 64, 65)]
+                         + [(64, 8), (65, 8), (96, 16), (100, 16)])
+@pytest.mark.parametrize("drawn", [False, True])
+def test_writers_give_the_text_of_the_dense_cells(n, block, drawn, tmp_path, monkeypatch,
+                                                  codec_workers):
+    # 7 rows in blocks of 2, or rows wider than a block in pieces of 8 or 16
+    # cells, the last piece at n = 64 and 96 a row's LF alone; a row's bits
+    # are unpacked with a 0 in its LF's place, from the padding bits, or past
+    # the last byte when n % 8 == 0
+    monkeypatch.setattr(core, "_BLOCK_BYTES", block or 2 * (n + 1))
+    matrix = randgen.seeded_matrix("rid", 7, n, 0.7, n)
+    expected = _dense_text(matrix.draw())
+    source = matrix if drawn else matrix.draw()
+    path = tmp_path / "m.gtm1"
+    write_gtm1(source, path)
+    assert path.read_bytes() == expected
+    stream = io.BytesIO()
+    core.dump_gtm1(source, stream)
+    assert stream.getvalue() == expected
+    # the file on one worker per block, the stream on one
+    assert codec_workers[-2:] == [7 if block else 4, 1]
+
+
+def _fallocations(monkeypatch, events: list, error: int | None = None) -> None:
+    """``os.posix_fallocate`` appends ("fallocate", offset, size) to
+    ``events``, then raises the ``OSError`` of errno ``error`` or does the
+    real preallocation."""
+    real = getattr(os, "posix_fallocate", None)
+
+    def fallocate(fd, offset, size):
+        events.append(("fallocate", offset, size))
+        if error is not None:
+            raise OSError(error, os.strerror(error))
+        if real is not None:
+            real(fd, offset, size)
+
+    monkeypatch.setattr(os, "posix_fallocate", fallocate, raising=False)
+
+
+class _CountingDrawer:
+    """A seeded matrix that appends ("draw", r, k) to ``events`` for each block it draws."""
+
+    def __init__(self, matrix, events: list):
+        self.m, self.n, self.model_tag, self.seed = (matrix.m, matrix.n, matrix.model_tag,
+                                                     matrix.seed)
+        self._matrix, self._events = matrix, events
+
+    def _fill_bits(self, r: int, k: int, out: np.ndarray) -> None:
+        self._events.append(("draw", r, k))
+        self._matrix._fill_bits(r, k, out)
+
+
+def test_writer_gives_the_file_its_exact_size_before_drawing_a_row(tmp_path, monkeypatch,
+                                                                   codec_workers):
+    # over a longer file: one preallocation of header + m (n + 1) bytes, then
+    # the blocks, and the file holds exactly the document
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * 101)
+    events = []
+    _fallocations(monkeypatch, events)
+    matrix = randgen.seeded_matrix("rid", 9, 100, 0.7, 4)
+    expected = _dense_text(matrix.draw())
+    path = tmp_path / "m.gtm1"
+    path.write_bytes(b"1" * (3 * len(expected)))
+    write_gtm1(_CountingDrawer(matrix, events), path)
+    assert path.read_bytes() == expected
+    assert events[0] == ("fallocate", 0, len(expected))
+    assert sorted(events[1:]) == [("draw", r, min(2, 9 - r)) for r in range(0, 9, 2)]
+
+
+def test_writer_raises_a_full_disk_before_drawing_a_row(tmp_path, monkeypatch):
+    events = []
+    _fallocations(monkeypatch, events, errno.ENOSPC)
+    matrix = randgen.seeded_matrix("rid", 9, 100, 0.7, 4)
+    with pytest.raises(OSError) as full:
+        write_gtm1(_CountingDrawer(matrix, events), tmp_path / "m.gtm1")
+    assert full.value.errno == errno.ENOSPC
+    assert events == [("fallocate", 0, len(_dense_text(matrix.draw())))]
+
+
+@pytest.mark.parametrize("refusal", [errno.EINVAL, errno.EOPNOTSUPP, "missing"])
+def test_writer_skips_a_preallocation_the_file_system_refuses(refusal, tmp_path, monkeypatch,
+                                                             codec_workers):
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * 101)
+    events = []
+    if refusal == "missing":
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+    else:
+        _fallocations(monkeypatch, events, refusal)
+    matrix = randgen.seeded_matrix("rid", 9, 100, 0.7, 4)
+    path = tmp_path / "m.gtm1"
+    write_gtm1(matrix, path)
+    assert path.read_bytes() == _dense_text(matrix.draw())
+    assert len(events) == (refusal != "missing")
+
+
+@pytest.mark.parametrize("m,n,block,pieces", [
+    # (r, k, c, w): k rows from row r on, w bytes of each from column c on
+    (7, 13, 2 * 14, [(r, min(2, 7 - r), 0, 14) for r in range(0, 7, 2)]),
+    (3, 100, 40, [(r, 1, c, min(40, 101 - c)) for r in range(3) for c in (0, 40, 80)]),
+    (2, 96, 16, [(r, 1, c, min(16, 97 - c)) for r in range(2) for c in range(0, 97, 16)]),
+    # the codec's own 2 MiB block: two rows of 10^6 cells, and one row wider
+    # than a block in a piece of 2^21 bytes and one of 65
+    (4, 10**6, None, [(0, 2, 0, 10**6 + 1), (2, 2, 0, 10**6 + 1)]),
+    (1, 2**21 + 64, None, [(0, 1, 0, 2**21), (0, 1, 2**21, 65)]),
+])
+def test_positional_writer_writes_each_piece_once_at_its_offset(m, n, block, pieces, tmp_path,
+                                                                monkeypatch, codec_workers):
+    # the write sizes set the page cache's folios, and with them the memory
+    # of a process that maps the file: each block piece is one write
+    if block is not None:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", block)
+    writes = []
+    pwrite = core._pwrite
+
+    def recording(fd, data, offset):
+        writes.append((offset, len(data)))
+        pwrite(fd, data, offset)
+
+    monkeypatch.setattr(core, "_pwrite", recording)
+    matrix = randgen.seeded_matrix("rid", m, n, 0.875, 8)
+    path = tmp_path / "m.gtm1"
+    write_gtm1(matrix, path)
+    header = len(f"GTM1 {m} {n} RID 8\n")
+    assert sorted(writes) == [(header + r * (n + 1) + c, k * w) for r, k, c, w in pieces]
+    assert path.stat().st_size == header + m * (n + 1)
 
 
 # ---------------------------------------------------------------------------
