@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import re
 import sys
@@ -45,7 +44,6 @@ from .core import (
     BudgetExceededError,
     InputError,
     ParseError,
-    TestMatrix,
     _canonical_int,
     _canonical_real,
     _eliminator,
@@ -58,15 +56,11 @@ from .core import (
 )
 # not called here; perfbench's tracer wraps this name, and read_gtm1, in this module
 from .core import answer_vector
-from .decode import (
-    AMBIGUOUS,
-    DECODED,
-    decode_semidisjunct,
-    decode_separable_bruteforce,
-)
+from .decode import AMBIGUOUS, DECODED, _finish, decode_separable_bruteforce
+from .decode import decode_semidisjunct  # not called here; perfbench's tracer wraps this name
 from .randgen import gen_rid  # not called here; perfbench's tracer wraps this name
 from .randgen import seeded_matrix
-from .simulate import DECODERS, TrialConfig, run_trials
+from .simulate import TrialConfig, run_trials
 from .verify import check_property
 
 CSV_SCHEMA_COMMENT = "# pooltest-csv v1"
@@ -76,6 +70,14 @@ _PROPERTY_ALIASES = {
     "separable": "separable",
     "semi": "semidisjunct",
     "semidisjunct": "semidisjunct",
+}
+
+_DECODER_ALIASES = {
+    "disjunct": "disjunct",
+    "semi": "semidisjunct",
+    "semidisjunct": "semidisjunct",
+    "brute": "bruteforce",
+    "bruteforce": "bruteforce",
 }
 
 
@@ -293,32 +295,26 @@ def _cmd_decode(args, out) -> int:
     def answers_of(m: int) -> np.ndarray:
         return parse_answer_file(Path(args.answers).read_bytes(), m)
 
-    if args.decoder == "brute":  # desk scale: the matrix is read whole
+    def survivors_cells() -> np.ndarray:  # a second pass, over the survivors' columns
+        bits = read_gtm1(args.matrix, _gatherer(lambda n: survivors))
+        return np.unpackbits(bits, axis=1, count=len(survivors))
+
+    spelling = args.decoder or "semi"
+    decoder = _DECODER_ALIASES[spelling]
+    if decoder == "bruteforce":  # desk scale: the matrix is read whole
         matrix = read_gtm1(args.matrix)
         answers = answers_of(matrix.m)
-    else:  # one pass that keeps the OR of the negative rows
+    else:  # one pass that keeps the OR of the negative rows: decode_disjunct
         answers, survivors = read_gtm1(args.matrix, _eliminator(answers_of))
-    if args.decoder != "disjunct" and args.d is None:
-        raise InputError(f"--d is required for the {args.decoder} decoder")
-    if args.decoder == "brute":
+        status, items = DECODED, (survivors + 1).tolist()
+    if decoder != "disjunct" and args.d is None:
+        raise InputError(f"--d is required for the {spelling} decoder")
+    if decoder == "bruteforce":
         outcome = decode_separable_bruteforce(matrix, answers, args.d)
         status, items = outcome.status, outcome.items
-    elif args.decoder == "semi" and len(survivors) > _require_int(args.d, "d", 1):
-        # decode_semidisjunct's refusal, before the second pass
-        if math.comb(len(survivors), args.d) > args.max_subset_tests:
-            raise BudgetExceededError(
-                f"exhaustive finish needs C({len(survivors)}, {args.d}) subset tests, "
-                f"over the budget of {args.max_subset_tests}"
-            )
-        # the finish, on the survivors' columns alone; its items index the survivors
-        bits = read_gtm1(args.matrix, _gatherer(lambda n: survivors))
-        compact = TestMatrix._adopt(len(answers), len(survivors), bits, "Explicit", 0)
-        outcome = decode_semidisjunct(compact, answers, args.d, args.max_subset_tests)
-        status, items = outcome.status, outcome.items
-        if items is not None:
-            items = (survivors[np.array(items) - 1] + 1).tolist()
-    else:  # elimination: decode_disjunct, or decode_semidisjunct with at most d survivors
-        status, items = DECODED, (survivors + 1).tolist()
+    elif decoder == "semidisjunct":  # decode_semidisjunct's finish, on the survivors
+        status, items, _ = _finish(answers, items, _require_int(args.d, "d", 1),
+                                   args.max_subset_tests, survivors_cells)
     if status == DECODED:
         _write_text(args.out, " ".join(str(i) for i in items) + "\n", out)
         return 0
@@ -350,10 +346,9 @@ def _cmd_verify(args, out) -> int:
 def _cmd_simulate(args, out) -> int:
     prop = _normalize_property(args.property)
     spec = design_mod.make_design(args.n, args.d, args.delta, prop, args.model)
-    decoder = args.decoder
-    if decoder is None:
-        decoder = {"disjunct": "disjunct", "separable": "bruteforce",
-                   "semidisjunct": "semidisjunct"}[prop]
+    # by default the decoder that the property is designed for
+    default = {"disjunct": "disjunct", "separable": "bruteforce", "semidisjunct": "semidisjunct"}
+    decoder = _DECODER_ALIASES[args.decoder or default[prop]]
     defect_mode = {"exactly": "exactly_d", "atmost": "at_most_d"}[args.defect_mode]
     cfg = TrialConfig(
         design=spec,
@@ -385,13 +380,13 @@ def _cmd_simulate(args, out) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-# each flag's argparse keywords, given once; ``--decoder`` takes other
-# choices in each command that has it
+# each flag's argparse keywords, given once
 _FLAGS = {
     "--n": {"type": _decimal_arg},
     "--d": {"type": _decimal_arg},
     "--delta": {"type": _real_arg},
     "--property": {},
+    "--decoder": {"choices": tuple(_DECODER_ALIASES)},
     "--model": {"choices": ("rid", "rrsd"), "default": "rid"},
     "--format": {"choices": ("csv", "json"), "default": "csv"},
     "--d-max": {"type": _decimal_arg},
@@ -408,10 +403,6 @@ _FLAGS = {
     "--defect-mode": {"choices": ("exactly", "atmost"), "default": "exactly"},
     "--trials": {"type": _decimal_arg, "default": 100},
     "--timings": {"action": "store_true"},
-}
-_DECODER_FLAG = {
-    "decode": {"choices": ("disjunct", "semi", "brute"), "default": "semi"},
-    "simulate": {"choices": DECODERS},
 }
 
 # (command, help, handler, flags in usage order; a trailing "!" marks a required flag)
@@ -441,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for flag in flags.split():
             name = flag.rstrip("!")
-            keywords = _DECODER_FLAG[command] if name == "--decoder" else _FLAGS[name]
-            p.add_argument(name, required=flag.endswith("!"), **keywords)
+            p.add_argument(name, required=flag.endswith("!"), **_FLAGS[name])
         p.set_defaults(func=handler)
     return parser
 

@@ -347,14 +347,18 @@ def validate_answers(matrix: TestMatrix, answers: Sequence[int] | np.ndarray) ->
 _BIT = np.array([0x80 >> b for b in range(8)], np.uint8)
 
 
+def _cells(matrix: TestMatrix, items: Sequence[int]) -> np.ndarray:
+    """The m x k cells of the 1-based ``items``, in order, one byte a cell: 0 if not pooled."""
+    columns = np.asarray(items, dtype=np.intp) - 1
+    return matrix.bits.take(columns >> 3, axis=1) & _BIT[columns & 7]
+
+
 def answer_vector(matrix: TestMatrix, items: Iterable[int]) -> np.ndarray:
     """Answers of every test for defective set ``items``: OR of the columns.
 
     The empty set yields the all-zero vector.
     """
-    columns = np.array(validate_items(items, matrix.n), dtype=np.intp) - 1
-    cells = matrix.bits.take(columns >> 3, axis=1) & _BIT[columns & 7]
-    return cells.any(axis=1).view(np.uint8)
+    return _cells(matrix, validate_items(items, matrix.n)).any(axis=1).view(np.uint8)
 
 
 # ---------------------------------------------------------------------------

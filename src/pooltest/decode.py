@@ -11,6 +11,9 @@ answers once: ``eliminate`` checks them and hands them to the one survivor
 reader, ``_survivors``. The exhaustive phases share one subset scan, which
 packs the candidates' columns into 64-bit words and compares the ORs of
 whole blocks of candidate sets with the answers in single numpy operations.
+One finish, ``_finish``, serves ``decode_semidisjunct`` and the CLI's
+``decode``: at most d survivors are the answer, a scan over the budget is
+refused, and only then does it ask for the survivors' columns.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, combinations, compress
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,8 +30,8 @@ from .core import (
     BudgetExceededError,
     TestMatrix,
     validate_answers,
-    _BIT,
     _BLOCK_BYTES,
+    _cells,
     _require_int,
 )
 
@@ -159,11 +162,12 @@ def _tail_table(r: int, limit: int) -> np.ndarray:
 
 
 def _consistent_sets(
-    matrix: TestMatrix, candidates: Sequence[int], answers: np.ndarray, sizes: Iterable[int]
+    cells: np.ndarray, candidates: Sequence[int], answers: np.ndarray, sizes: Iterable[int]
 ) -> Iterator[tuple[int, ...]]:
     """Sets of ``candidates`` whose columns OR to exactly ``answers``.
 
-    Yields 1-based tuples by size, in the order of ``sizes``, then in
+    ``cells`` holds their columns as ``_cells`` gathers them, m x s. Yields
+    tuples of ``candidates`` by size, in the order of ``sizes``, then in
     lexicographic order of positions in ``candidates``. The scan is lazy: a
     caller that stops at a hit computes no later size.
 
@@ -176,21 +180,19 @@ def _consistent_sets(
     s kept candidates. The ORs of all tails are taken once per size; each
     prefix is then one vector compare over the tails after its last pick.
     """
-    # candidates in reverse order, the tail tables' index order
-    items = np.asarray(candidates, dtype=np.intp)[::-1] - 1
-    cells = matrix.bits.take(items >> 3, axis=1) & _BIT[items & 7]
     positive = answers != 0
     kept = ~cells.compress(~positive, axis=0).any(axis=0)
     cells = cells.compress(positive, axis=0).compress(kept, axis=1)
     if not cells.any(axis=1).all():
         return  # a positive row that no kept column covers
-    reversed_items = (items[kept] + 1).tolist()
+    # the kept candidates in reverse order, the tail tables' index order
+    reversed_items = list(compress(candidates, kept.tolist()))[::-1]
     s = len(reversed_items)
     words = max(1, -(-len(cells) // 64))
     packed = np.zeros((8 * words, s), np.uint8)
     packed[: -(-len(cells) // 8)] = np.packbits(cells, axis=0)
     # word w of kept column j (reversed order) at [w, j]
-    columns = packed.reshape(words, 8, s).transpose(0, 2, 1).copy().view(np.uint64)[..., 0]
+    columns = packed.reshape(words, 8, s).transpose(0, 2, 1)[:, ::-1].copy().view(np.uint64)[..., 0]
     target = np.bitwise_or.reduce(columns, axis=1, keepdims=True)
     for size in sizes:
         if size > s:
@@ -209,6 +211,23 @@ def _consistent_sets(
             hits = ((ors[:, start:] | head) == target).all(axis=0)
             for row in np.flatnonzero(hits).tolist():
                 yield tuple(reversed_items[j] for j in prefix + tuple(tails[:, start + row].tolist()))
+
+
+def _finish(
+    answers: np.ndarray, survivors: Sequence[int], d: int, budget: int, cells_of: Callable
+) -> tuple[str, Sequence[int] | None, int]:
+    """(status, items, candidates scanned) of ``decode_semidisjunct`` on the
+    1-based ``survivors`` of the checked ``answers``. Over the ``budget`` of
+    subsets it refuses before it calls ``cells_of()`` for their cells."""
+    if len(survivors) <= d:
+        return DECODED, survivors, 0
+    if math.comb(len(survivors), d) > budget:
+        raise BudgetExceededError(
+            f"exhaustive finish needs C({len(survivors)}, {d}) subset tests, "
+            f"over the budget of {budget}"
+        )
+    found = next(_consistent_sets(cells_of(), survivors, answers, (d,)), None)
+    return NO_CONSISTENT_SET if found is None else DECODED, found, len(survivors)
 
 
 def decode_semidisjunct(
@@ -237,29 +256,15 @@ def decode_semidisjunct(
     """
     d = _require_int(d, "d", 1)
     survivors = eliminate(matrix, answers)  # the one check of the answers
-    eliminated = matrix.n - len(survivors)
-    if len(survivors) <= d:
-        return DecodeOutcome(
-            status=DECODED,
-            items=survivors,
-            consistent_count=1,
-            eliminated_count=eliminated,
-            exhaustive_candidates=0,
-        )
-
-    if math.comb(len(survivors), d) > max_subset_tests:
-        raise BudgetExceededError(
-            f"exhaustive finish needs C({len(survivors)}, {d}) subset tests, "
-            f"over the budget of {max_subset_tests}"
-        )
     # the scan reads only which answers are not 0
-    found = next(_consistent_sets(matrix, survivors, np.asarray(answers), (d,)), None)
+    status, items, scanned = _finish(np.asarray(answers), survivors, d, max_subset_tests,
+                                     lambda: _cells(matrix, survivors))
     return DecodeOutcome(
-        status=NO_CONSISTENT_SET if found is None else DECODED,
-        items=found,
-        consistent_count=int(found is not None),
-        eliminated_count=eliminated,
-        exhaustive_candidates=len(survivors),
+        status=status,
+        items=items,
+        consistent_count=int(status == DECODED),
+        eliminated_count=matrix.n - len(survivors),
+        exhaustive_candidates=scanned,
     )
 
 
@@ -273,7 +278,7 @@ def decode_separable_bruteforce(matrix: TestMatrix, answers, d: int) -> DecodeOu
     d = _require_int(d, "d", 0)
     _require_desk_scale("bruteforce decode", matrix.n, d)
     ans = validate_answers(matrix, answers)
-    hits = _consistent_sets(matrix, range(1, matrix.n + 1), ans, range(d + 1))
+    hits = _consistent_sets(matrix.dense(), range(1, matrix.n + 1), ans, range(d + 1))
     first = next(hits, None)
     count = (first is not None) + sum(1 for _ in hits)
     return DecodeOutcome(

@@ -73,7 +73,7 @@ def separability_witness(
     _require_desk_scale("separability check", matrix.n, d)
     members = validate_items(items, matrix.n)
     hits = _consistent_sets(
-        matrix, range(1, matrix.n + 1), answer_vector(matrix, members), range(d + 1)
+        matrix.dense(), range(1, matrix.n + 1), answer_vector(matrix, members), range(d + 1)
     )
     return next((hit for hit in hits if hit != members), None)
 

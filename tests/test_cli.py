@@ -211,7 +211,7 @@ def test_decode_of_a_file_is_the_library_decode_of_the_read_matrix(tag, block, t
         afile = tmp_path / f"a{trial}.txt"  # a new file: a rewrite can cost far more
         afile.write_text(format_answer_line(answers) + "\n")
         for decoder, d, budget in [("disjunct", 1, 10**8), ("semi", 1, 10**8), ("semi", 2, 10**8),
-                                   ("semi", 3, 10**8), ("semi", 2, 30)]:
+                                   ("semi", 3, 10**8), ("semi", 2, 30), ("semidisjunct", 2, 30)]:
             expected = _library_decode(read_gtm1(path), answers, decoder, d, budget)
             code = cli.main(["decode", "--matrix", str(path), "--answers", str(afile),
                              "--decoder", decoder, "--d", str(d), "--max-subset-tests",
@@ -248,6 +248,9 @@ def test_simulate_deterministic_stdout():
     second = run_cli(*args)
     assert first.returncode == 0
     assert first.stdout == second.stdout
+    # the property's default decoder, by either spelling; the record names it in full
+    for decoder in ("semi", "semidisjunct"):
+        assert run_cli(*args, "--decoder", decoder).stdout == first.stdout
     header = first.stdout.splitlines()[1].split(",")
     assert "mean_seconds" not in header
     timed = run_cli(*args, "--timings")

@@ -14,6 +14,7 @@ from pooltest.core import (
     TestMatrix,
     answer_vector,
     validate_items,
+    _cells,
 )
 from pooltest.decode import (
     AMBIGUOUS,
@@ -203,6 +204,37 @@ def test_semidisjunct_budget_refusal():
         decode_semidisjunct(big, [1], 8)
 
 
+def test_the_finish_gathers_the_survivors_columns_only_for_its_scan(monkeypatch):
+    # answers 11 leave all 6 items: at d = 2 the scan tries C(6, 2) = 15 sets
+    matrix = TestMatrix.from_dense([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]])
+    calls = []
+    cells = decode._cells
+    monkeypatch.setattr(decode, "_cells", lambda *a: calls.append(a) or cells(*a))
+    for d, budget, outcome in [
+        (6, 10**8, DecodeOutcome(DECODED, (1, 2, 3, 4, 5, 6), 1, 0, 0)),  # at most d survive
+        (5, 10**8, DecodeOutcome(DECODED, (1, 2, 3, 4, 5), 1, 0, 6)),  # one more than d
+        (2, 15, DecodeOutcome(DECODED, (1, 4), 1, 0, 6)),  # C(6, 2) is the budget
+        (2, 14, None),  # one over
+    ]:
+        calls.clear()
+        if outcome is None:
+            with pytest.raises(BudgetExceededError, match=r"C\(6, 2\) subset tests"):
+                decode_semidisjunct(matrix, [1, 1], d, budget)
+        else:
+            assert decode_semidisjunct(matrix, [1, 1], d, budget) == outcome
+        scanned = outcome is not None and outcome.exhaustive_candidates > 0
+        assert calls == ([(matrix, (1, 2, 3, 4, 5, 6))] if scanned else []), (d, budget)
+
+
+def test_a_bad_d_is_reported_before_bad_answers():
+    matrix = TestMatrix.from_dense([[1, 0], [0, 1]])
+    for d in (0, -1, "2", 2.0, True, None):
+        with pytest.raises(InputError, match="^d must be"):
+            decode_semidisjunct(matrix, [2, 0, 1], d)
+    with pytest.raises(InputError, match="answer"):
+        decode_semidisjunct(matrix, [2, 0, 1], 1)
+
+
 def test_bruteforce_budget_refusal():
     matrix = gen_rid(5, 41, 0.5, seed=1)
     with pytest.raises(BudgetExceededError):
@@ -279,7 +311,8 @@ def test_consistent_sets_match_a_literal_filter(instance):
     dense, candidates, answers, sizes = instance
     matrix = TestMatrix.from_dense(dense)
     expected = literal_filter(dense, candidates, answers, sizes)
-    assert list(_consistent_sets(matrix, candidates, answers, sizes)) == expected
+    cells = _cells(matrix, candidates)
+    assert list(_consistent_sets(cells, candidates, answers, sizes)) == expected
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7, 40])
@@ -299,7 +332,8 @@ def test_consistent_sets_split_into_prefix_and_tail(rows, monkeypatch):
         sizes = [int(k) for k in rng.permutation(5)]
         matrix = TestMatrix.from_dense(dense)
         expected = literal_filter(dense, candidates, answers, sizes)
-        assert list(_consistent_sets(matrix, candidates, answers, sizes)) == expected
+        cells = _cells(matrix, candidates)
+        assert list(_consistent_sets(cells, candidates, answers, sizes)) == expected
 
 
 def test_consistent_sets_over_fifty_candidates_of_size_four():
@@ -313,7 +347,7 @@ def test_consistent_sets_over_fifty_candidates_of_size_four():
     candidates = tuple(range(1, 51))
     expected = literal_filter(dense, candidates, answers, [4])
     assert len(expected) > 1
-    assert list(_consistent_sets(matrix, candidates, answers, [4])) == expected
+    assert list(_consistent_sets(_cells(matrix, candidates), candidates, answers, [4])) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +381,7 @@ def reference_decode(decoder, matrix, answers, d, budget):
     ans = reference_validate_answers(matrix, answers)
     if decoder == "bruteforce":
         _require_desk_scale("bruteforce decode", matrix.n, d)
-        hits = _consistent_sets(matrix, range(1, matrix.n + 1), ans, range(d + 1))
+        hits = _consistent_sets(matrix.dense(), range(1, matrix.n + 1), ans, range(d + 1))
         first = next(hits, None)
         count = (first is not None) + sum(1 for _ in hits)
         return DecodeOutcome(DECODED if count == 1 else AMBIGUOUS if count else NO_CONSISTENT_SET,
@@ -359,7 +393,7 @@ def reference_decode(decoder, matrix, answers, d, budget):
     if math.comb(len(survivors), d) > budget:
         raise BudgetExceededError(f"exhaustive finish needs C({len(survivors)}, {d}) subset "
                                   f"tests, over the budget of {budget}")
-    found = next(_consistent_sets(matrix, survivors, ans, (d,)), None)
+    found = next(_consistent_sets(_cells(matrix, survivors), survivors, ans, (d,)), None)
     return DecodeOutcome(NO_CONSISTENT_SET if found is None else DECODED, found,
                          int(found is not None), eliminated, len(survivors))
 
