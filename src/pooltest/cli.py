@@ -86,13 +86,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _normalize_property(value: str) -> str:
-    prop = _PROPERTY_ALIASES.get(value.lower())
-    if prop is None:
-        raise InputError(f"property must be one of {sorted(_PROPERTY_ALIASES)}, got {value!r}")
-    return prop
-
-
 def _decimal(text: str) -> int | None:
     """``text`` read as a canonical ASCII decimal, ``0|[1-9][0-9]*``, else None."""
     return _canonical_int(text.encode("utf-8", "surrogatepass"))
@@ -230,7 +223,7 @@ def _write_text(path: str | None, text: str, out) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_design(args, out) -> int:
-    prop = _normalize_property(args.property)
+    prop = _PROPERTY_ALIASES[args.property]
     spec = design_mod.make_design(args.n, args.d, args.delta, prop, args.model)
     _emit(args, {
         "n": spec.n, "d": spec.d, "delta": spec.delta, "property": prop,
@@ -268,7 +261,7 @@ def _cmd_generate(args, out) -> int:
     else:
         if args.d is None or args.delta is None or args.property is None:
             raise InputError("either --m or all of --d/--delta/--property are required")
-        prop = _normalize_property(args.property)
+        prop = _PROPERTY_ALIASES[args.property]
         spec = design_mod.make_design(args.n, args.d, args.delta, prop, args.model)
         m, model = spec.m, spec.model
         param = spec.zero_prob if model == "rid" else spec.row_weight
@@ -329,7 +322,7 @@ def _cmd_decode(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     matrix = read_gtm1(args.matrix)
     items = _read_items(args, matrix.n)
-    prop = _normalize_property(args.property)
+    prop = _PROPERTY_ALIASES[args.property]
     if prop != "disjunct" and args.d is None:
         raise InputError(f"--d is required for the {prop} property")
     report = check_property(matrix, items, prop, args.d)
@@ -344,7 +337,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    prop = _normalize_property(args.property)
+    prop = _PROPERTY_ALIASES[args.property]
     spec = design_mod.make_design(args.n, args.d, args.delta, prop, args.model)
     # by default the decoder that the property is designed for
     default = {"disjunct": "disjunct", "separable": "bruteforce", "semidisjunct": "semidisjunct"}
@@ -385,7 +378,7 @@ _FLAGS = {
     "--n": {"type": _decimal_arg},
     "--d": {"type": _decimal_arg},
     "--delta": {"type": _real_arg},
-    "--property": {},
+    "--property": {"choices": tuple(_PROPERTY_ALIASES)},
     "--decoder": {"choices": tuple(_DECODER_ALIASES)},
     "--model": {"choices": ("rid", "rrsd"), "default": "rid"},
     "--format": {"choices": ("csv", "json"), "default": "csv"},

@@ -47,7 +47,10 @@ sink, which ``read_gtm1(path, sink_of)`` chooses:
 * ``_eliminator`` ORs the rows of the negative tests into an n-byte row per
   worker: the items left at 0 survive elimination.
 
-The last two never hold the matrix. A block only detects a defect. One
+The last two never hold the matrix. An ``InputError`` or ``OSError`` that
+``sink_of`` raises, an error in the sink's own input (an item list, an
+answers file), ``read_gtm1`` holds back until every block has been checked,
+so that every matrix error comes first. A block only detects a defect. One
 sequential pass, ``_first_defect``, from the first failing block on (from
 row 1 for a file shorter than its header says), reports each defect, a
 block or a piece at a time: a bad file of any size, or with rows of any
@@ -137,6 +140,13 @@ def _require_int(value, name: str, minimum: int | None = None, maximum: int | No
     return v
 
 
+def _require_choice(value, name: str, choices: tuple) -> None:
+    # a name is text: ``in`` compares an array element by element, which
+    # would pass a one-name array and raise numpy's error on a longer one
+    if not isinstance(value, str) or value not in choices:
+        raise InputError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def _require_open_unit(value, name: str) -> float:
     """``value`` as a float strictly inside (0, 1): a probability or a delta."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
@@ -186,8 +196,7 @@ class TestMatrix:
         _require_int(self.m, "m", 1)
         _require_int(self.n, "n", 1)
         _require_int(self.seed, "seed", 0)
-        if self.model_tag not in MODEL_TAGS:
-            raise InputError(f"model_tag must be one of {MODEL_TAGS}, got {self.model_tag!r}")
+        _require_choice(self.model_tag, "model_tag", MODEL_TAGS)
         if not isinstance(self.bits, np.ndarray) or self.bits.dtype != np.uint8:
             raise InputError("bits must be a uint8 ndarray")
         nbytes = (self.n + 7) // 8
@@ -283,10 +292,8 @@ class DesignSpec:
         if self.d > self.n:
             raise InputError(f"d must be <= n, got d={self.d}, n={self.n}")
         _require_open_unit(self.delta, "delta")
-        if self.model not in MODELS:
-            raise InputError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.property_name not in PROPERTIES:
-            raise InputError(f"property must be one of {PROPERTIES}, got {self.property_name!r}")
+        _require_choice(self.model, "model", MODELS)
+        _require_choice(self.property_name, "property", PROPERTIES)
         if self.property_name != "disjunct" and self.d < 2:
             raise InputError(f"d must be >= 2 for {self.property_name}")
         if self.model == "rid":
@@ -662,7 +669,8 @@ def _decode(f: BinaryIO, fd: int | None = None, sink_of: Callable = _packer):
     names it. Each checked block's 0/1 cells, its k rows from 0-based row r
     on and columns c on, go to ``sink(r, k, c, cells)``, where ``new_sink,
     done = sink_of(m, n, tag, seed)`` and each worker's ``sink = new_sink()``;
-    returns ``done()``."""
+    returns ``done()``. An ``InputError`` or ``OSError`` of ``sink_of`` is
+    raised only once the whole file has passed, the pass keeping nothing."""
     if not f.seekable():
         f = io.BytesIO(f.read())
     m, n, tag, seed = _read_header(f)
@@ -679,7 +687,11 @@ def _decode(f: BinaryIO, fd: int | None = None, sink_of: Callable = _packer):
         raise _first_defect(f, body, 0, m, n, shared)
     f.seek(body)
 
-    new_sink, done = sink_of(m, n, tag, seed)
+    late = None  # an error in the sink's own input, raised after every matrix check
+    try:
+        new_sink, done = sink_of(m, n, tag, seed)
+    except (InputError, OSError) as exc:
+        late, new_sink, done = exc, (lambda: lambda r, k, c, cells: None), None
     rows = _block_rows(m, n)
 
     def make_step():
@@ -709,6 +721,8 @@ def _decode(f: BinaryIO, fd: int | None = None, sink_of: Callable = _packer):
     f.seek(body + m * width)
     if stop < m or f.read(1):
         raise _first_defect(f, body, stop, m, n, shared)
+    if late is not None:
+        raise late
     return done()
 
 
@@ -740,19 +754,11 @@ def read_gtm1(path: str | Path, sink_of: Callable = _packer):
 
     ``sink_of`` (see ``_decode``) says what is kept of the checked cells: by
     default the ``TestMatrix``. ``_gatherer`` keeps a few columns and
-    ``_eliminator`` elimination's survivors, never holding the matrix."""
+    ``_eliminator`` elimination's survivors, never holding the matrix. An
+    ``InputError`` or ``OSError`` that ``sink_of`` raises is held back until
+    every block has been checked: a defect of the file is reported first."""
     with open(path, "rb") as f:
         return _decode(f, _positional(f), sink_of)
-
-
-def _late(get: Callable, empty):
-    """``get()`` and None, or ``empty`` and the ``InputError`` or ``OSError``
-    it raised, which a sink raises once the whole file has passed, so that
-    every matrix error comes first."""
-    try:
-        return get(), None
-    except (InputError, OSError) as exc:
-        return empty, exc
 
 
 def _gatherer(columns_of: Callable[[int], np.ndarray], any_of: bool = False) -> Callable:
@@ -761,11 +767,11 @@ def _gatherer(columns_of: Callable[[int], np.ndarray], any_of: bool = False) -> 
     uint8 (m, ceil(k/8)); or, if ``any_of``, each row's OR of them, m 0s and
     1s (``answer``). Each worker gathers a block's rows, a wide row's pieces
     too, into a buffer of its own, no bigger than a block, and keeps them at
-    the rows' last piece. An error of ``columns_of`` is raised once the whole
-    file has passed (``_late``)."""
+    the rows' last piece. ``read_gtm1`` holds back an ``InputError`` or
+    ``OSError`` of ``columns_of`` until the whole file has passed."""
 
     def sink_of(m: int, n: int, tag: str, seed: int):
-        columns, late = _late(lambda: columns_of(n), np.empty(0, dtype=np.intp))
+        columns = columns_of(n)
         k = len(columns)
         out = np.empty(m if any_of else (m, (k + 7) // 8), dtype=np.uint8)
         rows = _block_rows(m, n)
@@ -782,12 +788,7 @@ def _gatherer(columns_of: Callable[[int], np.ndarray], any_of: bool = False) -> 
 
             return gather
 
-        def done() -> np.ndarray:
-            if late is not None:
-                raise late
-            return out
-
-        return new_sink, done
+        return new_sink, lambda: out
 
     return sink_of
 
@@ -796,11 +797,12 @@ def _eliminator(answers_of: Callable[[int], np.ndarray]) -> Callable:
     """The ``read_gtm1`` sink of the answers ``answers_of(m)``, m 0s and 1s,
     and the 0-based items, ascending, in no negative test: ``eliminate``'s
     survivors. Each worker ORs its blocks' negative rows into an n-byte row
-    of its own, and the survivors are the 0s of those rows' OR. An error of
-    ``answers_of`` is raised once the whole file has passed (``_late``)."""
+    of its own, and the survivors are the 0s of those rows' OR. ``read_gtm1``
+    holds back an ``InputError`` or ``OSError`` of ``answers_of`` until the
+    whole file has passed."""
 
     def sink_of(m: int, n: int, tag: str, seed: int):
-        answers, late = _late(lambda: answers_of(m), np.ones(m, dtype=np.uint8))
+        answers = answers_of(m)
         negative = answers == 0
         blocked = []  # one row a worker
 
@@ -816,8 +818,6 @@ def _eliminator(answers_of: Callable[[int], np.ndarray]) -> Callable:
             return eliminate
 
         def done() -> tuple[np.ndarray, np.ndarray]:
-            if late is not None:
-                raise late
             return answers, np.flatnonzero(np.bitwise_or.reduce(blocked, axis=0) == 0)
 
         return new_sink, done

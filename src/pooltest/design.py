@@ -57,7 +57,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
-    DesignSpec, InputError, BudgetExceededError, PROPERTIES, _require_int, _require_open_unit
+    DesignSpec, InputError, BudgetExceededError, MODELS, PROPERTIES, _require_choice,
+    _require_int, _require_open_unit,
 )
 
 __all__ = [
@@ -139,8 +140,7 @@ def log_n_coefficient(property_name: str, d: int) -> float:
     """ln-n coefficient of the ``property_name`` test count at d: g(d) for
     disjunct, g(d-1) for separable, ``semidisjunct_coefficient(d)`` for
     semidisjunct."""
-    if property_name not in PROPERTIES:
-        raise InputError(f"property must be one of {PROPERTIES}, got {property_name!r}")
+    _require_choice(property_name, "property", PROPERTIES)
     if property_name == "disjunct":
         return disjunct_coefficient(d)
     d = _require_int(d, "d", 2)
@@ -159,8 +159,7 @@ def coefficient_table(d_max: int) -> list[CoefficientRow]:
 
 def optimal_zero_prob(property_name: str, d: int) -> float:
     """Cell zero-probability minimizing the test count for a property."""
-    if property_name not in PROPERTIES:
-        raise InputError(f"property must be one of {PROPERTIES}, got {property_name!r}")
+    _require_choice(property_name, "property", PROPERTIES)
     if property_name == "disjunct":
         d = _require_int(d, "d", 1)
         return d / (d + 1.0)
@@ -223,13 +222,12 @@ def semidisjunct_test_count(n: int, d: int, delta: float) -> int:
 
 
 def required_tests(property_name: str, n: int, d: int, delta: float) -> int:
+    _require_choice(property_name, "property", PROPERTIES)
     if property_name == "disjunct":
         return disjunct_test_count(n, d, delta)
     if property_name == "separable":
         return separable_test_count(n, d, delta)
-    if property_name == "semidisjunct":
-        return semidisjunct_test_count(n, d, delta)
-    raise InputError(f"property must be one of {PROPERTIES}, got {property_name!r}")
+    return semidisjunct_test_count(n, d, delta)
 
 
 def make_design(
@@ -242,18 +240,17 @@ def make_design(
     one-probability 1/d (clamped to [1, n]).
     """
     m = required_tests(property_name, n, d, delta)
+    _require_choice(model, "model", MODELS)
     if model == "rid":
         return DesignSpec(
             n=n, d=d, delta=float(delta), model="rid", property_name=property_name,
             m=m, zero_prob=optimal_zero_prob(property_name, d),
         )
-    if model == "rrsd":
-        r = min(int(n), max(1, round(n / d)))
-        return DesignSpec(
-            n=n, d=d, delta=float(delta), model="rrsd", property_name=property_name,
-            m=m, row_weight=r,
-        )
-    raise InputError(f"model must be 'rid' or 'rrsd', got {model!r}")
+    r = min(int(n), max(1, round(n / d)))
+    return DesignSpec(
+        n=n, d=d, delta=float(delta), model="rrsd", property_name=property_name,
+        m=m, row_weight=r,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ import threading
 
 import numpy as np
 
-from .core import (MODELS, InputError, TestMatrix, _BIT, _each_block, _require_int,
+from .core import (MODELS, TestMatrix, _BIT, _each_block, _require_choice, _require_int,
                    _require_open_unit)
 
 __all__ = ["gen_rid", "gen_rrsd", "seeded_matrix"]
@@ -332,8 +332,7 @@ def seeded_matrix(model: str, m: int, n: int, param, seed: int) -> SeededMatrix:
     """The undrawn m x n matrix of ``model``: rid with ``param`` as its
     zero_prob, or rrsd with ``param`` as its row weight. Every parameter is
     checked here, before any row is drawn."""
-    if model not in MODELS:
-        raise InputError(f"model must be one of {MODELS}, got {model!r}")
+    _require_choice(model, "model", MODELS)
     return (_Rid if model == "rid" else _Rrsd)(m, n, param, seed)
 
 

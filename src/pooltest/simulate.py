@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (
     BudgetExceededError, DesignSpec, InputError, TestMatrix, answer_vector,
-    _require_int,
+    _require_choice, _require_int,
 )
 from .decode import (
     DECODED,
@@ -67,12 +67,8 @@ class TrialConfig:
     def __post_init__(self):
         _require_int(self.trials, "trials", 1)
         _require_int(self.master_seed, "master_seed", 0)
-        if self.decoder not in DECODERS:
-            raise InputError(f"decoder must be one of {DECODERS}, got {self.decoder!r}")
-        if self.defect_mode not in DEFECT_MODES:
-            raise InputError(
-                f"defect_mode must be one of {DEFECT_MODES}, got {self.defect_mode!r}"
-            )
+        _require_choice(self.decoder, "decoder", DECODERS)
+        _require_choice(self.defect_mode, "defect_mode", DEFECT_MODES)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import (
-    InputError,
     PROPERTIES,
     TestMatrix,
     answer_vector,
     validate_items,
+    _require_choice,
     _require_int,
 )
 from .decode import _consistent_sets, _require_desk_scale, _survivors
@@ -95,8 +95,7 @@ def check_property(
     u^d <= n, compared in integers, so exact powers are judged exactly. The
     separability scan runs only when that passes.
     """
-    if property_name not in PROPERTIES:
-        raise InputError(f"unknown property {property_name!r}")
+    _require_choice(property_name, "property", PROPERTIES)
     threshold = None
     if property_name == "semidisjunct":
         d = _require_int(d, "d", 1)

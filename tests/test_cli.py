@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,8 @@ import pytest
 
 from pooltest import cli, core, randgen
 from pooltest.cli import format_answer_line, parse_answer_file
-from pooltest.core import BudgetExceededError, ParseError, answer_vector, dumps_gtm1, read_gtm1
+from pooltest.core import (BudgetExceededError, InputError, ParseError, answer_vector, dumps_gtm1,
+                           read_gtm1)
 from pooltest.decode import DECODED, decode_disjunct, decode_semidisjunct
 from pooltest.design import make_design
 from pooltest.randgen import gen_rid, gen_rrsd
@@ -402,6 +404,47 @@ def test_every_command_rejects_loose_integers(argv, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: argument --") and err.count("\n") == 1
+
+
+# (command, flag) for each flag whose values are names
+CHOICE_FLAGS = [(command, flag.rstrip("!")) for command, _, _, flags in cli._COMMANDS
+                for flag in flags.split() if "choices" in cli._FLAGS[flag.rstrip("!")]]
+
+
+def _argv_with(command: str, flag: str, value: str) -> list[str]:
+    """``command`` with ``flag`` set to ``value``, and each other required
+    flag to its first choice or to 1."""
+    flags = next(entry[3] for entry in cli._COMMANDS if entry[0] == command)
+    argv = [command, flag, value]
+    for name in (f[:-1] for f in flags.split() if f.endswith("!") and f[:-1] != flag):
+        argv += [name, cli._FLAGS[name].get("choices", ("1",))[0]]
+    return argv
+
+
+def test_every_flag_that_takes_a_name_is_a_choice_flag(capsys):
+    # --property too: SEMI is not semi
+    assert cli.main(["design", "--n", "1000", "--d", "3", "--delta", "0.1",
+                     "--property", "SEMI"]) == 1
+    assert capsys.readouterr().err.startswith("error: argument --property: invalid choice: 'SEMI'")
+    assert {flag for _, flag in CHOICE_FLAGS} == {
+        "--property", "--decoder", "--model", "--format", "--defect-mode"}
+
+
+@pytest.mark.parametrize("command,flag", CHOICE_FLAGS)
+def test_choice_flags_match_their_names_exactly(command, flag, capsys):
+    choices = cli._FLAGS[flag]["choices"]
+    for choice in choices:
+        args = cli.build_parser().parse_args(_argv_with(command, flag, choice))
+        assert getattr(args, flag[2:].replace("-", "_")) == choice
+    for bad in [*(choice.upper() for choice in choices), "bogus"]:
+        assert bad not in choices
+        argv = _argv_with(command, flag, bad)
+        message = f"argument {flag}: invalid choice: {bad!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}"):
+            cli.build_parser().parse_args(argv)
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 def test_item_index_error_names_line_and_column(tmp_path):

@@ -176,6 +176,9 @@ def _commands() -> list[list[str]]:
         [*simulate, "--defect-mode", "exactly_d"],
         ["decode", "--matrix", "dup.gtm1", "--answers", "a10.txt", "--decoder", "bruteforce"],
         [*simulate, "--decoder", "semi"],
+        # every choice flag matches its names exactly
+        [*design[:-1], "SEMI"],
+        [*simulate, "--decoder", "SEMI"],
         ["design", "--n", "010", "--d", "3", "--delta", "0.1", "--property", "semi"],
         ["design", "--n", "1000", "--d", "3", "--delta", ".5", "--property", "semi"],
     ]

@@ -15,6 +15,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from pooltest import core, randgen
 from pooltest.core import (
     MODEL_TAGS,
+    MODELS,
+    PROPERTIES,
     DesignSpec,
     InputError,
     ParseError,
@@ -28,8 +30,11 @@ from pooltest.core import (
     write_gtm1,
 )
 from pooltest.decode import eliminate
-from pooltest.design import make_design, nested_pair_rate, rid_equal_answer_prob
-from pooltest.randgen import gen_rid, gen_rrsd
+from pooltest.design import (log_n_coefficient, make_design, nested_pair_rate,
+                             optimal_zero_prob, required_tests, rid_equal_answer_prob)
+from pooltest.randgen import gen_rid, gen_rrsd, seeded_matrix
+from pooltest.simulate import DECODERS, DEFECT_MODES, TrialConfig
+from pooltest.verify import check_property
 
 
 def naive_answers(matrix, items):
@@ -327,6 +332,45 @@ def test_open_unit_rejects_non_reals_everywhere(entry, value):
 def test_open_unit_rejects_values_outside_the_interval_everywhere(entry, value):
     with pytest.raises(InputError, match=r"must lie strictly inside \(0, 1\)"):
         OPEN_UNIT_ENTRY_POINTS[entry](value)
+
+
+def _trial_config(**names):
+    return TrialConfig(design=make_design(100, 2, 0.1, "disjunct"), trials=1, master_seed=0,
+                       **names)
+
+
+# every entry point that takes a name: (the name's name, its choices, a call with it)
+CHOICE_ENTRY_POINTS = {
+    "TestMatrix model_tag": ("model_tag", MODEL_TAGS, lambda v: TestMatrix(
+        1, 1, np.zeros((1, 1), np.uint8), model_tag=v)),
+    "DesignSpec model": ("model", MODELS, lambda v: DesignSpec(
+        n=10, d=2, delta=0.1, model=v, property_name="disjunct", m=5, zero_prob=0.5)),
+    "DesignSpec property": ("property", PROPERTIES, lambda v: DesignSpec(
+        n=10, d=2, delta=0.1, model="rid", property_name=v, m=5, zero_prob=0.5)),
+    "log_n_coefficient": ("property", PROPERTIES, lambda v: log_n_coefficient(v, 3)),
+    "optimal_zero_prob": ("property", PROPERTIES, lambda v: optimal_zero_prob(v, 3)),
+    "required_tests": ("property", PROPERTIES, lambda v: required_tests(v, 100, 3, 0.1)),
+    "make_design model": ("model", MODELS, lambda v: make_design(100, 3, 0.1, "disjunct", v)),
+    "seeded_matrix": ("model", MODELS, lambda v: seeded_matrix(v, 5, 10, 0.5, 1)),
+    "TrialConfig decoder": ("decoder", DECODERS, lambda v: _trial_config(decoder=v)),
+    "TrialConfig defect_mode": ("defect_mode", DEFECT_MODES,
+                                lambda v: _trial_config(defect_mode=v)),
+    "check_property": ("property", PROPERTIES, lambda v: check_property(
+        TestMatrix.identity(3), (1,), v, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", CHOICE_ENTRY_POINTS)
+@pytest.mark.parametrize("case", ["bogus", "swapped case", "not text", "one name", "two names"])
+def test_a_bad_name_is_refused_with_one_message_everywhere(entry, case):
+    name, choices, call = CHOICE_ENTRY_POINTS[entry]
+    value = {"bogus": "bogus", "swapped case": choices[0].swapcase(), "not text": None,
+             # an array of names is no name, though numpy's `in` compares its elements
+             "one name": np.array([choices[0]]),
+             "two names": np.array([choices[0], choices[-1]])}[case]
+    with pytest.raises(InputError) as refused:
+        call(value)
+    assert str(refused.value) == f"{name} must be one of {choices}, got {value!r}"
 
 
 def test_float32_zero_prob_draws_the_float64_matrix():
@@ -1242,6 +1286,45 @@ def test_streamed_answers_raise_an_item_error_once_the_matrix_has_passed(tmp_pat
     path.write_bytes(b"GTM1 2 3 RID 0\n010\n002\n")
     assert _error_of(lambda: _streamed_answers(path, missing)) == (
         "line 3, column 3: invalid character '2'", 3, 3)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("error", [InputError("item index must be <= 9, got 10"),
+                                   FileNotFoundError("no such file"),
+                                   RuntimeError("a fault of the sink")])
+def test_read_gtm1_holds_back_a_sinks_input_error_until_every_block_is_checked(
+        error, workers, tmp_path, monkeypatch):
+    # 12 rows of 9 cells in blocks of 2 rows: six blocks, on one or two workers
+    text = dumps_gtm1(gen_rid(12, 9, 0.5, 3)).encode("ascii")
+    good, bad = tmp_path / "good.gtm1", tmp_path / "bad.gtm1"
+    good.write_bytes(text)
+    bad.write_bytes(_plant(text, 13, 5, b"x"))  # in row 12, the last block's
+    monkeypatch.setattr(core, "_BLOCK_BYTES", 2 * (9 + 1))
+    monkeypatch.setattr(core, "_worker_count", lambda: workers)
+    stops = []  # the row each pass stopped at: 12 when every block passed
+    each_block = core._each_block
+
+    def counted(m, rows, parallel, make_step):
+        stops.append(each_block(m, rows, parallel, make_step))
+        return stops[-1]
+
+    monkeypatch.setattr(core, "_each_block", counted)
+
+    def sink_of(m, n, tag, seed):
+        raise error
+
+    with pytest.raises(type(error)) as raised:
+        read_gtm1(good, sink_of)
+    assert raised.value is error
+    if isinstance(error, (InputError, OSError)):  # the sink's own input: the matrix first
+        assert stops == [12]
+        assert _error_of(lambda: read_gtm1(bad, sink_of)) == (
+            "line 13, column 5: invalid character 'x'", 13, 5)
+        assert stops == [12, 10]
+    else:  # a fault, raised before the pass
+        with pytest.raises(RuntimeError):
+            read_gtm1(bad, sink_of)
+        assert stops == []
 
 
 def test_streamed_answers_hold_a_few_blocks_of_memory(tmp_path, monkeypatch):

@@ -137,7 +137,7 @@ def test_check_property_empty_witness_and_unknown_property():
     for name in ("separable", "semidisjunct"):
         report = check_property(matrix, (1,), name, 1)
         assert not report.holds and report.witness == ()
-    with pytest.raises(InputError, match="unknown property"):
+    with pytest.raises(InputError, match="property must be one of"):
         check_property(matrix, (1,), "semi", 1)
 
 
