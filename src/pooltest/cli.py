@@ -48,7 +48,6 @@ from .core import (
     _canonical_real,
     _eliminator,
     _gatherer,
-    _require_int,
     dump_gtm1,
     read_gtm1,
     validate_items,
@@ -56,7 +55,7 @@ from .core import (
 )
 # not called here; perfbench's tracer wraps this name, and read_gtm1, in this module
 from .core import answer_vector
-from .decode import AMBIGUOUS, DECODED, _finish, decode_separable_bruteforce
+from .decode import AMBIGUOUS, DECODED, _decode
 from .decode import decode_semidisjunct  # not called here; perfbench's tracer wraps this name
 from .randgen import gen_rid  # not called here; perfbench's tracer wraps this name
 from .randgen import seeded_matrix
@@ -294,24 +293,17 @@ def _cmd_decode(args, out) -> int:
 
     spelling = args.decoder or "semi"
     decoder = _DECODER_ALIASES[spelling]
-    if decoder == "bruteforce":  # desk scale: the matrix is read whole
-        matrix = read_gtm1(args.matrix)
-        answers = answers_of(matrix.m)
-    else:  # one pass that keeps the OR of the negative rows: decode_disjunct
-        answers, survivors = read_gtm1(args.matrix, _eliminator(answers_of))
-        status, items = DECODED, (survivors + 1).tolist()
+    # one pass that keeps the OR of the negative rows: every consistent set
+    # lies in the survivors
+    n, answers, survivors = read_gtm1(args.matrix, _eliminator(answers_of))
     if decoder != "disjunct" and args.d is None:
         raise InputError(f"--d is required for the {spelling} decoder")
-    if decoder == "bruteforce":
-        outcome = decode_separable_bruteforce(matrix, answers, args.d)
-        status, items = outcome.status, outcome.items
-    elif decoder == "semidisjunct":  # decode_semidisjunct's finish, on the survivors
-        status, items, _ = _finish(answers, items, _require_int(args.d, "d", 1),
-                                   args.max_subset_tests, survivors_cells)
-    if status == DECODED:
-        _write_text(args.out, " ".join(str(i) for i in items) + "\n", out)
+    outcome = _decode(decoder, n, answers, tuple((survivors + 1).tolist()), args.d,
+                      args.max_subset_tests, survivors_cells)
+    if outcome.status == DECODED:
+        _write_text(args.out, " ".join(str(i) for i in outcome.items) + "\n", out)
         return 0
-    if status == AMBIGUOUS:
+    if outcome.status == AMBIGUOUS:
         print(f"error: ambiguous answers: {outcome.consistent_count} consistent sets",
               file=sys.stderr)
         return 1

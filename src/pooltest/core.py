@@ -794,12 +794,12 @@ def _gatherer(columns_of: Callable[[int], np.ndarray], any_of: bool = False) -> 
 
 
 def _eliminator(answers_of: Callable[[int], np.ndarray]) -> Callable:
-    """The ``read_gtm1`` sink of the answers ``answers_of(m)``, m 0s and 1s,
-    and the 0-based items, ascending, in no negative test: ``eliminate``'s
-    survivors. Each worker ORs its blocks' negative rows into an n-byte row
-    of its own, and the survivors are the 0s of those rows' OR. ``read_gtm1``
-    holds back an ``InputError`` or ``OSError`` of ``answers_of`` until the
-    whole file has passed."""
+    """The ``read_gtm1`` sink of the matrix's n, the answers ``answers_of(m)``,
+    m 0s and 1s, and the 0-based items, ascending, in no negative test:
+    ``eliminate``'s survivors. Each worker ORs its blocks' negative rows
+    into an n-byte row of its own, and the survivors are the 0s of those
+    rows' OR. ``read_gtm1`` holds back an ``InputError`` or ``OSError`` of
+    ``answers_of`` until the whole file has passed."""
 
     def sink_of(m: int, n: int, tag: str, seed: int):
         answers = answers_of(m)
@@ -817,8 +817,8 @@ def _eliminator(answers_of: Callable[[int], np.ndarray]) -> Callable:
 
             return eliminate
 
-        def done() -> tuple[np.ndarray, np.ndarray]:
-            return answers, np.flatnonzero(np.bitwise_or.reduce(blocked, axis=0) == 0)
+        def done() -> tuple[int, np.ndarray, np.ndarray]:
+            return n, answers, np.flatnonzero(np.bitwise_or.reduce(blocked, axis=0) == 0)
 
         return new_sink, done
 

@@ -11,9 +11,11 @@ answers once: ``eliminate`` checks them and hands them to the one survivor
 reader, ``_survivors``. The exhaustive phases share one subset scan, which
 packs the candidates' columns into 64-bit words and compares the ORs of
 whole blocks of candidate sets with the answers in single numpy operations.
-One finish, ``_finish``, serves ``decode_semidisjunct`` and the CLI's
-``decode``: at most d survivors are the answer, a scan over the budget is
-refused, and only then does it ask for the survivors' columns.
+One decode, ``_decode``, builds every ``DecodeOutcome``, for the three
+decoders and the CLI's ``decode``: given the checked answers and candidates
+that hold every consistent set, it returns the candidates (elimination, or
+at most d survivors), or refuses a scan over its budget or the desk cap,
+and only then asks for the candidates' columns.
 """
 
 from __future__ import annotations
@@ -127,14 +129,7 @@ def decode_disjunct(matrix: TestMatrix, answers) -> DecodeOutcome:
     witnessed by some test avoiding the defectives; otherwise the result is
     a superset of the true set.
     """
-    survivors = eliminate(matrix, answers)
-    return DecodeOutcome(
-        status=DECODED,
-        items=survivors,
-        consistent_count=1,
-        eliminated_count=matrix.n - len(survivors),
-        exhaustive_candidates=0,
-    )
+    return _decode("disjunct", matrix.n, None, eliminate(matrix, answers), None, None, None)
 
 
 # Rows of the largest tail table: one vector compare covers at most this
@@ -213,21 +208,43 @@ def _consistent_sets(
                 yield tuple(reversed_items[j] for j in prefix + tuple(tails[:, start + row].tolist()))
 
 
-def _finish(
-    answers: np.ndarray, survivors: Sequence[int], d: int, budget: int, cells_of: Callable
-) -> tuple[str, Sequence[int] | None, int]:
-    """(status, items, candidates scanned) of ``decode_semidisjunct`` on the
-    1-based ``survivors`` of the checked ``answers``. Over the ``budget`` of
-    subsets it refuses before it calls ``cells_of()`` for their cells."""
-    if len(survivors) <= d:
-        return DECODED, survivors, 0
-    if math.comb(len(survivors), d) > budget:
+def _decode(
+    decoder: str, n: int, answers: np.ndarray | None, candidates: Sequence[int], d, budget,
+    cells_of: Callable[[], np.ndarray] | None,
+) -> DecodeOutcome:
+    """The outcome of ``decoder`` on the checked ``answers`` of an n-item
+    matrix, given the 1-based ``candidates``, ascending, that hold every
+    consistent set. ``disjunct`` returns them; so does ``semidisjunct`` when
+    at most d are left, else it scans their size-d sets, if their count is
+    in its ``budget``; ``bruteforce`` counts their consistent sets of size
+    0..d, at desk scale. ``cells_of()``, their m x len(candidates) cells, is
+    called only after every refusal has passed."""
+    if decoder != "disjunct":
+        d = _require_int(d, "d", 0 if decoder == "bruteforce" else 1)
+    if decoder == "semidisjunct":
+        budget = _require_int(budget, "max_subset_tests", 0)
+    eliminated = n - len(candidates)
+    if decoder == "disjunct" or decoder == "semidisjunct" and len(candidates) <= d:
+        return DecodeOutcome(DECODED, tuple(candidates), 1, eliminated, 0)
+    if decoder == "bruteforce":
+        _require_desk_scale("bruteforce decode", n, d)
+    elif math.comb(len(candidates), d) > budget:
         raise BudgetExceededError(
-            f"exhaustive finish needs C({len(survivors)}, {d}) subset tests, "
+            f"exhaustive finish needs C({len(candidates)}, {d}) subset tests, "
             f"over the budget of {budget}"
         )
-    found = next(_consistent_sets(cells_of(), survivors, answers, (d,)), None)
-    return NO_CONSISTENT_SET if found is None else DECODED, found, len(survivors)
+    sizes = range(d + 1) if decoder == "bruteforce" else (d,)
+    hits = _consistent_sets(cells_of(), candidates, answers, sizes)
+    first = next(hits, None)
+    # brute force counts every consistent set; the finish stops at the first
+    count = (first is not None) + (sum(1 for _ in hits) if decoder == "bruteforce" else 0)
+    return DecodeOutcome(
+        status=DECODED if count == 1 else AMBIGUOUS if count else NO_CONSISTENT_SET,
+        items=first if count == 1 else None,
+        consistent_count=count,
+        eliminated_count=eliminated,
+        exhaustive_candidates=len(candidates),
+    )
 
 
 def decode_semidisjunct(
@@ -254,18 +271,11 @@ def decode_semidisjunct(
     ``max_subset_tests`` — the signal that the matrix missed its design
     property.
     """
-    d = _require_int(d, "d", 1)
+    d = _require_int(d, "d", 1)  # before the answers
     survivors = eliminate(matrix, answers)  # the one check of the answers
     # the scan reads only which answers are not 0
-    status, items, scanned = _finish(np.asarray(answers), survivors, d, max_subset_tests,
-                                     lambda: _cells(matrix, survivors))
-    return DecodeOutcome(
-        status=status,
-        items=items,
-        consistent_count=int(status == DECODED),
-        eliminated_count=matrix.n - len(survivors),
-        exhaustive_candidates=scanned,
-    )
+    return _decode("semidisjunct", matrix.n, np.asarray(answers), survivors, d, max_subset_tests,
+                   lambda: _cells(matrix, survivors))
 
 
 def decode_separable_bruteforce(matrix: TestMatrix, answers, d: int) -> DecodeOutcome:
@@ -275,16 +285,6 @@ def decode_separable_bruteforce(matrix: TestMatrix, answers, d: int) -> DecodeOu
     of consistent candidates when several match, or ``no_consistent_set``.
     Desk-scale only; refuses beyond ``MAX_DESK_ITEMS`` / ``MAX_DESK_DEFECTIVES``.
     """
-    d = _require_int(d, "d", 0)
-    _require_desk_scale("bruteforce decode", matrix.n, d)
-    ans = validate_answers(matrix, answers)
-    hits = _consistent_sets(matrix.dense(), range(1, matrix.n + 1), ans, range(d + 1))
-    first = next(hits, None)
-    count = (first is not None) + sum(1 for _ in hits)
-    return DecodeOutcome(
-        status=DECODED if count == 1 else AMBIGUOUS if count else NO_CONSISTENT_SET,
-        items=first if count == 1 else None,
-        consistent_count=count,
-        eliminated_count=0,
-        exhaustive_candidates=matrix.n,
-    )
+    d = _require_int(d, "d", 0)  # before the answers
+    return _decode("bruteforce", matrix.n, validate_answers(matrix, answers),
+                   range(1, matrix.n + 1), d, None, matrix.dense)

@@ -65,6 +65,8 @@ class TrialConfig:
     defect_mode: str = "exactly_d"
 
     def __post_init__(self):
+        if not isinstance(self.design, DesignSpec):
+            raise InputError(f"design must be a DesignSpec, got {self.design!r}")
         _require_int(self.trials, "trials", 1)
         _require_int(self.master_seed, "master_seed", 0)
         _require_choice(self.decoder, "decoder", DECODERS)

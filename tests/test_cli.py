@@ -15,7 +15,8 @@ from pooltest import cli, core, randgen
 from pooltest.cli import format_answer_line, parse_answer_file
 from pooltest.core import (BudgetExceededError, InputError, ParseError, answer_vector, dumps_gtm1,
                            read_gtm1)
-from pooltest.decode import DECODED, decode_disjunct, decode_semidisjunct
+from pooltest.decode import (AMBIGUOUS, DECODED, decode_disjunct, decode_semidisjunct,
+                             decode_separable_bruteforce)
 from pooltest.design import make_design
 from pooltest.randgen import gen_rid, gen_rrsd
 from pooltest.verify import check_property
@@ -178,29 +179,36 @@ def _library_decode(matrix, answers, decoder, d, budget):
     try:
         if decoder == "disjunct":
             outcome = decode_disjunct(matrix, answers)
+        elif decoder in ("brute", "bruteforce"):
+            outcome = decode_separable_bruteforce(matrix, answers, d)
         else:
             outcome = decode_semidisjunct(matrix, answers, d, budget)
     except BudgetExceededError as exc:
         return 2, "", f"error: {exc}\n"
     if outcome.status == DECODED:
         return 0, " ".join(map(str, outcome.items)) + "\n", ""
+    if outcome.status == AMBIGUOUS:
+        return 1, "", f"error: ambiguous answers: {outcome.consistent_count} consistent sets\n"
     return 1, "", "error: no candidate set is consistent with the answers\n"
 
 
 @pytest.mark.parametrize("tag", ["RID", "RrSD", "Explicit"])
 @pytest.mark.parametrize("block", [None, 16, 61 * 2])
-def test_decode_of_a_file_is_the_library_decode_of_the_read_matrix(tag, block, tmp_path,
+@pytest.mark.parametrize("m,n", [(7, 60), (5, 36)])
+def test_decode_of_a_file_is_the_library_decode_of_the_read_matrix(tag, block, m, n, tmp_path,
                                                                    monkeypatch, capsys):
     # undersized 7 x 60 matrices, so that many items survive: the finish
-    # decodes, finds no set or is over its budget; rows in pieces of 16
-    # cells or in blocks of 2 rows, on 1 to 3 workers
-    rng = np.random.default_rng(len(tag))
+    # decodes, finds no set or is over its budget, and brute force is over
+    # the desk cap; 5 x 36 matrices, at desk scale and with duplicate
+    # columns (36 > 2^5), so that brute force finds several sets; rows in
+    # pieces of 16 cells or in blocks of 2 or 3 rows, on 1 to 3 workers
+    rng = np.random.default_rng(len(tag) + n)
     if tag == "RID":
-        matrix = gen_rid(7, 60, 0.6, 4)
+        matrix = gen_rid(m, n, 0.6, 4)
     elif tag == "RrSD":
-        matrix = gen_rrsd(7, 60, 20, 4)
+        matrix = gen_rrsd(m, n, n // 3, 4)
     else:
-        matrix = core.TestMatrix.from_dense(rng.integers(0, 2, (7, 60), dtype=np.uint8))
+        matrix = core.TestMatrix.from_dense(rng.integers(0, 2, (m, n), dtype=np.uint8))
     path = tmp_path / "m.gtm1"
     core.write_gtm1(matrix, path)
     if block is not None:
@@ -208,19 +216,32 @@ def test_decode_of_a_file_is_the_library_decode_of_the_read_matrix(tag, block, t
     seen = set()
     for trial in range(12):
         monkeypatch.setattr(core, "_worker_count", lambda: 1 + trial % 3)
-        items = rng.choice(np.arange(1, 61), size=1 + trial % 4, replace=False)
+        items = rng.choice(np.arange(1, n + 1), size=1 + trial % 4, replace=False)
         answers = answer_vector(matrix, items)
+        if trial % 6 == 5:
+            answers = np.zeros(m, np.uint8)  # the empty set, which only --d 0 allows
         afile = tmp_path / f"a{trial}.txt"  # a new file: a rewrite can cost far more
         afile.write_text(format_answer_line(answers) + "\n")
         for decoder, d, budget in [("disjunct", 1, 10**8), ("semi", 1, 10**8), ("semi", 2, 10**8),
-                                   ("semi", 3, 10**8), ("semi", 2, 30), ("semidisjunct", 2, 30)]:
+                                   ("semi", 3, 10**8), ("semi", 2, 30), ("semidisjunct", 2, 30),
+                                   ("brute", 0, 10**8), ("brute", 1, 10**8), ("brute", 2, 30),
+                                   ("bruteforce", 3, 10**8)]:
             expected = _library_decode(read_gtm1(path), answers, decoder, d, budget)
             code = cli.main(["decode", "--matrix", str(path), "--answers", str(afile),
                              "--decoder", decoder, "--d", str(d), "--max-subset-tests",
                              str(budget)])
             assert (code, *capsys.readouterr()) == expected, (trial, decoder, d, budget)
-            seen.add(expected[0])
-    assert seen == {0, 1, 2}
+            seen.add(expected[0] if code != 1 else expected[2].split(":")[1])
+    assert seen == {0, " no candidate set is consistent with the answers\n", 2} | (
+        {" ambiguous answers"} if n <= 40 else set())
+
+
+def _counted_passes(monkeypatch) -> list:
+    """The sink of each pass of the GTM1 reader, appended as it starts."""
+    passes = []
+    decode = core._decode
+    monkeypatch.setattr(core, "_decode", lambda *a: passes.append(a[2]) or decode(*a))
+    return passes
 
 
 def test_decode_refuses_an_over_budget_finish_before_its_second_pass(tmp_path, monkeypatch,
@@ -231,9 +252,7 @@ def test_decode_refuses_an_over_budget_finish_before_its_second_pass(tmp_path, m
     matrix = gen_rid(7, 60, 0.5, 4)
     core.write_gtm1(matrix, path)
     afile.write_text("1" * 7 + "\n")
-    passes = []
-    decode = core._decode
-    monkeypatch.setattr(core, "_decode", lambda *a: passes.append(a) or decode(*a))
+    passes = _counted_passes(monkeypatch)
     for budget, count in [(59, 1), (60, 2)]:
         passes.clear()
         code = cli.main(["decode", "--matrix", str(path), "--answers", str(afile),
@@ -241,6 +260,27 @@ def test_decode_refuses_an_over_budget_finish_before_its_second_pass(tmp_path, m
         expected = _library_decode(matrix, np.ones(7, np.uint8), "semi", 1, budget)
         assert (code, *capsys.readouterr()) == expected and len(passes) == count, budget
     assert expected[0] != 2
+
+
+@pytest.mark.parametrize("decoder", ["brute", "bruteforce"])
+def test_decode_brute_force_streams_and_refuses_over_the_desk_cap_after_one_pass(
+        decoder, tmp_path, monkeypatch, capsys):
+    # brute force never reads the matrix whole: one pass finds the
+    # survivors, and a second, at desk scale, reads their columns
+    passes = _counted_passes(monkeypatch)
+    for n, count in [(36, 2), (40, 2), (41, 1)]:
+        path, afile = tmp_path / f"m{n}.gtm1", tmp_path / "a.txt"
+        matrix = gen_rid(7, n, 0.5, 4)
+        core.write_gtm1(matrix, path)
+        answers = answer_vector(matrix, (3, 9))
+        afile.write_text(format_answer_line(answers) + "\n")
+        passes.clear()
+        code = cli.main(["decode", "--matrix", str(path), "--answers", str(afile),
+                         "--decoder", decoder, "--d", "2"])
+        expected = _library_decode(matrix, answers, decoder, 2, 10**8)
+        assert (code, *capsys.readouterr()) == expected, n
+        assert len(passes) == count and core._packer not in passes, n
+        assert (code == 2) == (n > 40) and ("capped" in expected[2]) == (n > 40), n
 
 
 def test_simulate_deterministic_stdout():

@@ -1410,8 +1410,8 @@ def test_streamed_survivors_are_the_survivors_of_the_read_matrix(tag, n, block, 
         monkeypatch.setattr(core, "_worker_count", lambda: workers)
         for answers in _answer_sets(matrix):
             expected = eliminate(read_gtm1(path), answers)
-            got, survivors = _streamed_survivors(path, lambda m: answers)
-            assert got is answers
+            got_n, got, survivors = _streamed_survivors(path, lambda m: answers)
+            assert got_n == n and got is answers
             assert tuple((survivors + 1).tolist()) == expected, (workers, answers)
             # the same block loop on as many workers
             assert codec_workers[-1] == codec_workers[-2] <= workers
@@ -1467,7 +1467,7 @@ def test_streamed_survivors_hold_a_few_blocks_and_a_row_a_worker_of_memory(tmp_p
     answers = answer_vector(matrix, (1, 600, 1023))
     peaks = []
     for read in (lambda: eliminate(read_gtm1(path), answers),
-                 lambda: tuple((_streamed_survivors(path, lambda m: answers)[1] + 1).tolist())):
+                 lambda: tuple((_streamed_survivors(path, lambda m: answers)[2] + 1).tolist())):
         tracemalloc.start()
         try:
             survivors = read()

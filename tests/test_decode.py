@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import numpy as np
 import pytest
@@ -226,6 +226,15 @@ def test_the_finish_gathers_the_survivors_columns_only_for_its_scan(monkeypatch)
         assert calls == ([(matrix, (1, 2, 3, 4, 5, 6))] if scanned else []), (d, budget)
 
 
+@pytest.mark.parametrize("budget", [None, "x", -1, 1.5, True])
+def test_a_bad_finish_budget_is_an_input_error(budget):
+    # with 6 survivors the finish would scan; with 2 it returns them
+    matrix = TestMatrix.from_dense([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]])
+    for answers in ([1, 1], [1, 0]):
+        with pytest.raises(InputError, match="^max_subset_tests must be"):
+            decode_semidisjunct(matrix, answers, 2, max_subset_tests=budget)
+
+
 def test_a_bad_d_is_reported_before_bad_answers():
     matrix = TestMatrix.from_dense([[1, 0], [0, 1]])
     for d in (0, -1, "2", 2.0, True, None):
@@ -447,6 +456,21 @@ def _assert_matches_the_references(matrix, items, answers, d):
 @given(elimination_instances())
 def test_survivors_match_the_full_unpack(instance):
     _assert_matches_the_references(*instance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_instances())
+def test_a_scan_over_the_survivors_finds_the_sets_of_a_scan_over_every_item(instance):
+    # every consistent set lies in the survivors: the CLI's brute force
+    # scans only their columns
+    matrix, _, answers, d = instance
+    ans = reference_validate_answers(matrix, answers)
+    survivors = eliminate(matrix, answers)
+    sizes = range(min(d, 3) + 1)
+    expected = _consistent_sets(matrix.dense(), range(1, matrix.n + 1), ans, sizes)
+    got = _consistent_sets(_cells(matrix, survivors), survivors, ans, sizes)
+    for pair in zip_longest(got, expected):
+        assert pair[0] == pair[1]
 
 
 @pytest.mark.parametrize("block", [1, 9, 40, 1 << 21])

@@ -160,6 +160,9 @@ def test_config_validation():
         TrialConfig(design=spec, trials=0, master_seed=1)
     with pytest.raises(InputError):
         TrialConfig(design=spec, trials=5, master_seed=1, decoder="magic")
+    for design in ("x", None, dataclasses.asdict(spec)):
+        with pytest.raises(InputError, match="^design must be a DesignSpec"):
+            TrialConfig(design=design, trials=1, master_seed=0)
 
 
 # ---------------------------------------------------------------------------
