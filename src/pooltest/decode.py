@@ -8,14 +8,14 @@ survivors are the 0 bits of that OR. Only its bytes that are not 0xFF are
 unpacked, few for a designed matrix, so reading them costs a compare over
 the row's n/8 bytes rather than an unpack of n bits. A decoder checks its
 answers once: ``eliminate`` checks them and hands them to the one survivor
-reader, ``_survivors``. The exhaustive phases share one subset scan, which
-packs the candidates' columns into 64-bit words and compares the ORs of
-whole blocks of candidate sets with the answers in single numpy operations.
+reader, ``_survivors``. The exhaustive phases share one subset scan of the
+survivors alone, since a set with an item in a negative test never explains
+the answers. It packs their columns into 64-bit words and compares the ORs
+of whole blocks of their sets with the answers in single numpy operations.
 One decode, ``_decode``, builds every ``DecodeOutcome``, for the three
-decoders and the CLI's ``decode``: given the checked answers and candidates
-that hold every consistent set, it returns the candidates (elimination, or
-at most d survivors), or refuses a scan over its budget or the desk cap,
-and only then asks for the candidates' columns.
+decoders and the CLI's ``decode``: given the checked answers and the
+survivors, it returns them (elimination, or at most d survivors), or
+refuses a scan over its budget or the desk cap, then asks for their cells.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -77,10 +77,9 @@ class DecodeOutcome:
     """Result of one decode.
 
     ``items`` is set only for status ``decoded``. ``consistent_count`` is
-    the number of consistent candidate sets found (meaningful for the
-    exhaustive decoders; elimination does not count candidates).
-    ``exhaustive_candidates`` is the size of the residual item pool when an
-    exhaustive phase ran, else 0.
+    the number of consistent sets found (1 when no subset scan ran).
+    ``eliminated_count`` is n less the s survivors of elimination, and
+    ``exhaustive_candidates`` is s when a subset scan ran, else 0.
     """
 
     status: str
@@ -129,7 +128,7 @@ def decode_disjunct(matrix: TestMatrix, answers) -> DecodeOutcome:
     witnessed by some test avoiding the defectives; otherwise the result is
     a superset of the true set.
     """
-    return _decode("disjunct", matrix.n, None, eliminate(matrix, answers), None, None, None)
+    return _decode_matrix("disjunct", matrix, answers)
 
 
 # Rows of the largest tail table: one vector compare covers at most this
@@ -161,32 +160,29 @@ def _consistent_sets(
 ) -> Iterator[tuple[int, ...]]:
     """Sets of ``candidates`` whose columns OR to exactly ``answers``.
 
+    ``candidates`` are survivors: every one lies in no negative test.
     ``cells`` holds their columns as ``_cells`` gathers them, m x s. Yields
     tuples of ``candidates`` by size, in the order of ``sizes``, then in
     lexicographic order of positions in ``candidates``. The scan is lazy: a
     caller that stops at a hit computes no later size.
 
-    A candidate with a 1 on a negative row is in no consistent set, so it is
-    dropped; the hits left keep their order. The kept columns are packed
-    over the positive rows into ``uint64`` words, and a set is consistent
-    when its columns OR to the OR of all of them, which must cover every
-    positive row. A set of size k is a prefix of k - r picks followed by a
-    tail of r picks, r as large as keeps C(s, r) <= ``_TAIL_ROWS`` for the
-    s kept candidates. The ORs of all tails are taken once per size; each
+    The columns are packed over the positive rows into ``uint64`` words, and
+    a set is consistent when its columns OR to the OR of all of them, which
+    must cover every positive row. A set of size k is a prefix of k - r
+    picks followed by a tail of r picks, r as large as keeps C(s, r) <=
+    ``_TAIL_ROWS``. The ORs of all tails are taken once per size; each
     prefix is then one vector compare over the tails after its last pick.
     """
-    positive = answers != 0
-    kept = ~cells.compress(~positive, axis=0).any(axis=0)
-    cells = cells.compress(positive, axis=0).compress(kept, axis=1)
+    cells = cells.compress(answers != 0, axis=0)
     if not cells.any(axis=1).all():
-        return  # a positive row that no kept column covers
-    # the kept candidates in reverse order, the tail tables' index order
-    reversed_items = list(compress(candidates, kept.tolist()))[::-1]
+        return  # a positive row that no candidate covers
+    # the candidates in reverse order, the tail tables' index order
+    reversed_items = candidates[::-1]
     s = len(reversed_items)
     words = max(1, -(-len(cells) // 64))
     packed = np.zeros((8 * words, s), np.uint8)
     packed[: -(-len(cells) // 8)] = np.packbits(cells, axis=0)
-    # word w of kept column j (reversed order) at [w, j]
+    # word w of column j (reversed order) at [w, j]
     columns = packed.reshape(words, 8, s).transpose(0, 2, 1)[:, ::-1].copy().view(np.uint64)[..., 0]
     target = np.bitwise_or.reduce(columns, axis=1, keepdims=True)
     for size in sizes:
@@ -209,16 +205,16 @@ def _consistent_sets(
 
 
 def _decode(
-    decoder: str, n: int, answers: np.ndarray | None, candidates: Sequence[int], d, budget,
-    cells_of: Callable[[], np.ndarray] | None,
+    decoder: str, n: int, answers: np.ndarray, candidates: Sequence[int], d, budget,
+    cells_of: Callable[[], np.ndarray],
 ) -> DecodeOutcome:
     """The outcome of ``decoder`` on the checked ``answers`` of an n-item
-    matrix, given the 1-based ``candidates``, ascending, that hold every
-    consistent set. ``disjunct`` returns them; so does ``semidisjunct`` when
-    at most d are left, else it scans their size-d sets, if their count is
-    in its ``budget``; ``bruteforce`` counts their consistent sets of size
-    0..d, at desk scale. ``cells_of()``, their m x len(candidates) cells, is
-    called only after every refusal has passed."""
+    matrix, given its 1-based survivors ``candidates``, ascending, which
+    hold every consistent set. ``disjunct`` returns them; so does
+    ``semidisjunct`` when at most d are left, else it scans their size-d
+    sets, if their count is in its ``budget``; ``bruteforce`` counts their
+    consistent sets of size 0..d, at desk scale. ``cells_of()``, their
+    m x len(candidates) cells, is called only once every refusal passed."""
     if decoder != "disjunct":
         d = _require_int(d, "d", 0 if decoder == "bruteforce" else 1)
     if decoder == "semidisjunct":
@@ -247,6 +243,13 @@ def _decode(
     )
 
 
+def _decode_matrix(decoder: str, matrix: TestMatrix, answers, d=None, budget=None):
+    """``_decode`` on ``matrix``'s survivors; the scan reads only which answers are not 0."""
+    survivors = eliminate(matrix, answers)  # the one check of the answers
+    return _decode(decoder, matrix.n, np.asarray(answers), survivors, d, budget,
+                   lambda: _cells(matrix, survivors))
+
+
 def decode_semidisjunct(
     matrix: TestMatrix,
     answers,
@@ -272,19 +275,15 @@ def decode_semidisjunct(
     property.
     """
     d = _require_int(d, "d", 1)  # before the answers
-    survivors = eliminate(matrix, answers)  # the one check of the answers
-    # the scan reads only which answers are not 0
-    return _decode("semidisjunct", matrix.n, np.asarray(answers), survivors, d, max_subset_tests,
-                   lambda: _cells(matrix, survivors))
+    return _decode_matrix("semidisjunct", matrix, answers, d, max_subset_tests)
 
 
 def decode_separable_bruteforce(matrix: TestMatrix, answers, d: int) -> DecodeOutcome:
-    """Reference decoder: try every candidate set of size 0..d.
+    """Reference decoder: try every set of size 0..d of the survivors.
 
     Returns the unique consistent candidate, ``ambiguous`` with the count
     of consistent candidates when several match, or ``no_consistent_set``.
     Desk-scale only; refuses beyond ``MAX_DESK_ITEMS`` / ``MAX_DESK_DEFECTIVES``.
     """
     d = _require_int(d, "d", 0)  # before the answers
-    return _decode("bruteforce", matrix.n, validate_answers(matrix, answers),
-                   range(1, matrix.n + 1), d, None, matrix.dense)
+    return _decode_matrix("bruteforce", matrix, answers, d)

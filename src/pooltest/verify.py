@@ -15,6 +15,7 @@ from .core import (
     TestMatrix,
     answer_vector,
     validate_items,
+    _cells,
     _require_choice,
     _require_int,
 )
@@ -72,9 +73,9 @@ def separability_witness(
     d = _require_int(d, "d", 0)
     _require_desk_scale("separability check", matrix.n, d)
     members = validate_items(items, matrix.n)
-    hits = _consistent_sets(
-        matrix.dense(), range(1, matrix.n + 1), answer_vector(matrix, members), range(d + 1)
-    )
+    answers = answer_vector(matrix, members)
+    survivors = tuple((_survivors(matrix, answers) + 1).tolist())
+    hits = _consistent_sets(_cells(matrix, survivors), survivors, answers, range(d + 1))
     return next((hit for hit in hits if hit != members), None)
 
 

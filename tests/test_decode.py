@@ -1,19 +1,21 @@
 import math
 import tracemalloc
-from itertools import combinations, zip_longest
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pooltest import decode
+from pooltest import core, decode
 from pooltest.core import (
     BudgetExceededError,
     InputError,
     PoolTestError,
     TestMatrix,
     answer_vector,
+    read_gtm1,
     validate_items,
+    write_gtm1,
     _cells,
 )
 from pooltest.decode import (
@@ -22,6 +24,7 @@ from pooltest.decode import (
     NO_CONSISTENT_SET,
     DecodeOutcome,
     _consistent_sets,
+    _decode,
     _require_desk_scale,
     decode_disjunct,
     decode_semidisjunct,
@@ -314,14 +317,22 @@ def literal_filter(dense, candidates, answers, sizes):
     return hits
 
 
+def literal_survivors(dense, candidates, answers):
+    """The ``candidates``, in their order, with no 1 on a row whose answer is 0."""
+    negative = np.asarray(answers) == 0
+    return tuple(i for i in candidates if not dense[negative, i - 1].any())
+
+
 @settings(max_examples=300, deadline=None)
 @given(scan_instances())
 def test_consistent_sets_match_a_literal_filter(instance):
+    # the scan takes only the survivors; the filter sees every drawn candidate
     dense, candidates, answers, sizes = instance
     matrix = TestMatrix.from_dense(dense)
     expected = literal_filter(dense, candidates, answers, sizes)
-    cells = _cells(matrix, candidates)
-    assert list(_consistent_sets(cells, candidates, answers, sizes)) == expected
+    survivors = literal_survivors(dense, candidates, answers)
+    cells = _cells(matrix, survivors)
+    assert list(_consistent_sets(cells, survivors, answers, sizes)) == expected
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 7, 40])
@@ -341,12 +352,13 @@ def test_consistent_sets_split_into_prefix_and_tail(rows, monkeypatch):
         sizes = [int(k) for k in rng.permutation(5)]
         matrix = TestMatrix.from_dense(dense)
         expected = literal_filter(dense, candidates, answers, sizes)
-        cells = _cells(matrix, candidates)
-        assert list(_consistent_sets(cells, candidates, answers, sizes)) == expected
+        survivors = literal_survivors(dense, candidates, answers)
+        cells = _cells(matrix, survivors)
+        assert list(_consistent_sets(cells, survivors, answers, sizes)) == expected
 
 
 def test_consistent_sets_over_fifty_candidates_of_size_four():
-    # every test is positive, so no candidate is dropped, and C(50, 4) is
+    # every test is positive, so every candidate survives, and C(50, 4) is
     # past the real row cap: size 4 runs through the prefix loop
     assert math.comb(50, 4) > decode._TAIL_ROWS
     rng = np.random.default_rng(8)
@@ -356,7 +368,8 @@ def test_consistent_sets_over_fifty_candidates_of_size_four():
     candidates = tuple(range(1, 51))
     expected = literal_filter(dense, candidates, answers, [4])
     assert len(expected) > 1
-    assert list(_consistent_sets(_cells(matrix, candidates), candidates, answers, [4])) == expected
+    survivors = literal_survivors(dense, candidates, answers)
+    assert list(_consistent_sets(_cells(matrix, survivors), survivors, answers, [4])) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +401,15 @@ def reference_non_disjunct_items(matrix, items):
 def reference_decode(decoder, matrix, answers, d, budget):
     """The three decoders on the reference check and survivors, and the one subset scan."""
     ans = reference_validate_answers(matrix, answers)
+    survivors = reference_eliminate(matrix, ans)
+    eliminated = matrix.n - len(survivors)
     if decoder == "bruteforce":
         _require_desk_scale("bruteforce decode", matrix.n, d)
-        hits = _consistent_sets(matrix.dense(), range(1, matrix.n + 1), ans, range(d + 1))
+        hits = _consistent_sets(_cells(matrix, survivors), survivors, ans, range(d + 1))
         first = next(hits, None)
         count = (first is not None) + sum(1 for _ in hits)
         return DecodeOutcome(DECODED if count == 1 else AMBIGUOUS if count else NO_CONSISTENT_SET,
-                             first if count == 1 else None, count, 0, matrix.n)
-    survivors = reference_eliminate(matrix, ans)
-    eliminated = matrix.n - len(survivors)
+                             first if count == 1 else None, count, eliminated, len(survivors))
     if decoder == "disjunct" or len(survivors) <= d:
         return DecodeOutcome(DECODED, survivors, 1, eliminated, 0)
     if math.comb(len(survivors), d) > budget:
@@ -460,17 +473,61 @@ def test_survivors_match_the_full_unpack(instance):
 
 @settings(max_examples=200, deadline=None)
 @given(elimination_instances())
-def test_a_scan_over_the_survivors_finds_the_sets_of_a_scan_over_every_item(instance):
-    # every consistent set lies in the survivors: the CLI's brute force
-    # scans only their columns
+def test_a_scan_over_the_survivors_finds_every_consistent_set(instance):
+    # the survivors lemma: no consistent set holds an item of a negative
+    # test, so the literal filter over every item finds the sets, in the
+    # same order, that the scan finds over the survivors alone
     matrix, _, answers, d = instance
     ans = reference_validate_answers(matrix, answers)
     survivors = eliminate(matrix, answers)
     sizes = range(min(d, 3) + 1)
-    expected = _consistent_sets(matrix.dense(), range(1, matrix.n + 1), ans, sizes)
-    got = _consistent_sets(_cells(matrix, survivors), survivors, ans, sizes)
-    for pair in zip_longest(got, expected):
-        assert pair[0] == pair[1]
+    expected = literal_filter(matrix.dense(), range(1, matrix.n + 1), ans, sizes)
+    assert list(_consistent_sets(_cells(matrix, survivors), survivors, ans, sizes)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_instances())
+def test_every_decoder_counts_the_survivors_it_scans(instance):
+    # eliminated_count is n less the survivors, and exhaustive_candidates
+    # is their count whenever a subset scan ran, else 0
+    matrix, _, answers, d = instance
+    survivors = eliminate(matrix, answers)
+    for call, scanned in (
+        (lambda: decode_disjunct(matrix, answers), False),
+        (lambda: decode_semidisjunct(matrix, answers, d, 2000), len(survivors) > d),
+        (lambda: decode_separable_bruteforce(matrix, answers, min(d, 3)), True),
+    ):
+        try:
+            outcome = call()
+        except BudgetExceededError:  # refused before any scan
+            continue
+        assert outcome.eliminated_count == matrix.n - len(survivors)
+        assert outcome.exhaustive_candidates == (len(survivors) if scanned else 0)
+
+
+@pytest.mark.parametrize("n", [1, 9, 36, 40])
+def test_bruteforce_is_the_decode_of_the_streamed_survivors_and_cells(n, tmp_path):
+    # the library's brute force and the CLI's, which reads the survivors in
+    # one pass of the file and their columns in a second, give one outcome
+    rng = np.random.default_rng(n)
+    for trial in range(8):
+        m = int(rng.integers(1, 12))
+        matrix = gen_rid(m, n, 0.6, trial)
+        path = tmp_path / f"{trial}.gtm1"
+        write_gtm1(matrix, path)
+        items = rng.choice(np.arange(1, n + 1), size=min(n, trial % 4), replace=False)
+        answers = answer_vector(matrix, items)
+        if trial % 4 == 3:
+            answers = (rng.random(m) < 0.5).astype(np.uint8)
+        _, ans, survivors = read_gtm1(path, core._eliminator(lambda _: answers))
+
+        def cells():
+            bits = read_gtm1(path, core._gatherer(lambda _: survivors))
+            return np.unpackbits(bits, axis=1, count=len(survivors))
+
+        for d in range(5):
+            expected = _decode("bruteforce", n, ans, tuple((survivors + 1).tolist()), d, None, cells)
+            assert decode_separable_bruteforce(matrix, answers, d) == expected, (trial, d)
 
 
 @pytest.mark.parametrize("block", [1, 9, 40, 1 << 21])
