@@ -293,13 +293,13 @@ def _cmd_decode(args, out) -> int:
 
     spelling = args.decoder or "semi"
     decoder = _DECODER_ALIASES[spelling]
-    # one pass that keeps the OR of the negative rows: every consistent set
-    # lies in the survivors
+    # the residue from one pass that keeps the OR of the negative rows:
+    # every consistent set lies in the survivors
     n, answers, survivors = read_gtm1(args.matrix, _eliminator(answers_of))
     if decoder != "disjunct" and args.d is None:
         raise InputError(f"--d is required for the {spelling} decoder")
-    outcome = _decode(decoder, n, answers, tuple((survivors + 1).tolist()), args.d,
-                      args.max_subset_tests, survivors_cells)
+    residue = n, answers, tuple((survivors + 1).tolist()), survivors_cells
+    outcome = _decode(decoder, residue, args.d, args.max_subset_tests)
     if outcome.status == DECODED:
         _write_text(args.out, " ".join(str(i) for i in outcome.items) + "\n", out)
         return 0

@@ -6,16 +6,17 @@ each matrix byte at most once (a single OR-reduction over the negative
 rows), so it runs in time linear in the bit-size of the matrix. The
 survivors are the 0 bits of that OR. Only its bytes that are not 0xFF are
 unpacked, few for a designed matrix, so reading them costs a compare over
-the row's n/8 bytes rather than an unpack of n bits. A decoder checks its
-answers once: ``eliminate`` checks them and hands them to the one survivor
-reader, ``_survivors``. The exhaustive phases share one subset scan of the
-survivors alone, since a set with an item in a negative test never explains
-the answers. It packs their columns into 64-bit words and compares the ORs
-of whole blocks of their sets with the answers in single numpy operations.
-One decode, ``_decode``, builds every ``DecodeOutcome``, for the three
-decoders and the CLI's ``decode``: given the checked answers and the
-survivors, it returns them (elimination, or at most d survivors), or
-refuses a scan over its budget or the desk cap, then asks for their cells.
+the row's n/8 bytes rather than an unpack of n bits. Each instance is
+read once, into its residue ``(n, answers, survivors, cells_of)``: the
+checked answers, the 1-based survivors, and a call for their cells.
+``_residue`` builds it with one ``eliminate`` call, which checks the
+answers and hands them to the one survivor reader, ``_survivors``; the
+CLI's ``decode`` builds it from its streamed pass. One decode, ``_decode``,
+builds every ``DecodeOutcome`` from a residue, and ``verify.check_property``
+reads one. The exhaustive phases share one subset scan of the survivors
+alone, since a set with an item in a negative test never explains the
+answers. It packs their columns into 64-bit words and compares the ORs of
+whole blocks of their sets with the answers in single numpy operations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -121,6 +122,13 @@ def eliminate(matrix: TestMatrix, answers) -> tuple[int, ...]:
     return tuple((_survivors(matrix, validate_answers(matrix, answers)) + 1).tolist())
 
 
+def _residue(matrix: TestMatrix, answers) -> tuple:
+    """The residue of ``answers`` on ``matrix``; the scan reads only which
+    answers are not 0."""
+    survivors = eliminate(matrix, answers)
+    return matrix.n, np.asarray(answers), survivors, lambda: _cells(matrix, survivors)
+
+
 def decode_disjunct(matrix: TestMatrix, answers) -> DecodeOutcome:
     """Pure elimination decode.
 
@@ -128,7 +136,7 @@ def decode_disjunct(matrix: TestMatrix, answers) -> DecodeOutcome:
     witnessed by some test avoiding the defectives; otherwise the result is
     a superset of the true set.
     """
-    return _decode_matrix("disjunct", matrix, answers)
+    return _decode("disjunct", _residue(matrix, answers), None, None)
 
 
 # Rows of the largest tail table: one vector compare covers at most this
@@ -204,30 +212,28 @@ def _consistent_sets(
                 yield tuple(reversed_items[j] for j in prefix + tuple(tails[:, start + row].tolist()))
 
 
-def _decode(
-    decoder: str, n: int, answers: np.ndarray, candidates: Sequence[int], d, budget,
-    cells_of: Callable[[], np.ndarray],
-) -> DecodeOutcome:
-    """The outcome of ``decoder`` on the checked ``answers`` of an n-item
-    matrix, given its 1-based survivors ``candidates``, ascending, which
-    hold every consistent set. ``disjunct`` returns them; so does
-    ``semidisjunct`` when at most d are left, else it scans their size-d
-    sets, if their count is in its ``budget``; ``bruteforce`` counts their
-    consistent sets of size 0..d, at desk scale. ``cells_of()``, their
-    m x len(candidates) cells, is called only once every refusal passed."""
+def _decode(decoder: str, residue: tuple, d, budget) -> DecodeOutcome:
+    """The outcome of ``decoder`` on ``residue``: the checked answers of an
+    n-item matrix, its 1-based survivors ``candidates``, ascending, which
+    hold every consistent set, and ``cells_of()``, their m x s cells, called
+    only once every refusal passed. ``disjunct`` returns the survivors; so
+    does ``semidisjunct`` when at most d are left, else it scans their
+    size-d sets, if their count is in its ``budget``; ``bruteforce`` counts
+    their consistent sets of size 0..d, at desk scale."""
+    n, answers, candidates, cells_of = residue
     if decoder != "disjunct":
         d = _require_int(d, "d", 0 if decoder == "bruteforce" else 1)
     if decoder == "semidisjunct":
         budget = _require_int(budget, "max_subset_tests", 0)
-    eliminated = n - len(candidates)
-    if decoder == "disjunct" or decoder == "semidisjunct" and len(candidates) <= d:
-        return DecodeOutcome(DECODED, tuple(candidates), 1, eliminated, 0)
+    s = len(candidates)
+    if decoder == "disjunct" or decoder == "semidisjunct" and s <= d:
+        return DecodeOutcome(DECODED, tuple(candidates), 1, n - s, 0)
     if decoder == "bruteforce":
         _require_desk_scale("bruteforce decode", n, d)
-    elif math.comb(len(candidates), d) > budget:
+    # C(s, d) >= 2^k for k = min(d, s - d), so a large k refuses before the binomial
+    elif min(d, s - d) >= budget.bit_length() or math.comb(s, d) > budget:
         raise BudgetExceededError(
-            f"exhaustive finish needs C({len(candidates)}, {d}) subset tests, "
-            f"over the budget of {budget}"
+            f"exhaustive finish needs C({s}, {d}) subset tests, over the budget of {budget}"
         )
     sizes = range(d + 1) if decoder == "bruteforce" else (d,)
     hits = _consistent_sets(cells_of(), candidates, answers, sizes)
@@ -238,16 +244,9 @@ def _decode(
         status=DECODED if count == 1 else AMBIGUOUS if count else NO_CONSISTENT_SET,
         items=first if count == 1 else None,
         consistent_count=count,
-        eliminated_count=eliminated,
-        exhaustive_candidates=len(candidates),
+        eliminated_count=n - s,
+        exhaustive_candidates=s,
     )
-
-
-def _decode_matrix(decoder: str, matrix: TestMatrix, answers, d=None, budget=None):
-    """``_decode`` on ``matrix``'s survivors; the scan reads only which answers are not 0."""
-    survivors = eliminate(matrix, answers)  # the one check of the answers
-    return _decode(decoder, matrix.n, np.asarray(answers), survivors, d, budget,
-                   lambda: _cells(matrix, survivors))
 
 
 def decode_semidisjunct(
@@ -275,7 +274,7 @@ def decode_semidisjunct(
     property.
     """
     d = _require_int(d, "d", 1)  # before the answers
-    return _decode_matrix("semidisjunct", matrix, answers, d, max_subset_tests)
+    return _decode("semidisjunct", _residue(matrix, answers), d, max_subset_tests)
 
 
 def decode_separable_bruteforce(matrix: TestMatrix, answers, d: int) -> DecodeOutcome:
@@ -286,4 +285,4 @@ def decode_separable_bruteforce(matrix: TestMatrix, answers, d: int) -> DecodeOu
     Desk-scale only; refuses beyond ``MAX_DESK_ITEMS`` / ``MAX_DESK_DEFECTIVES``.
     """
     d = _require_int(d, "d", 0)  # before the answers
-    return _decode_matrix("bruteforce", matrix, answers, d)
+    return _decode("bruteforce", _residue(matrix, answers), d, None)

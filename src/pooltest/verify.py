@@ -15,11 +15,10 @@ from .core import (
     TestMatrix,
     answer_vector,
     validate_items,
-    _cells,
     _require_choice,
     _require_int,
 )
-from .decode import _consistent_sets, _require_desk_scale, _survivors
+from .decode import _consistent_sets, _require_desk_scale, _residue
 
 __all__ = [
     "PropertyReport",
@@ -56,10 +55,7 @@ def non_disjunct_items(matrix: TestMatrix, items: Iterable[int]) -> tuple[int, .
 
     Exactly the clean items elimination cannot remove.
     """
-    members = validate_items(items, matrix.n)
-    survivors = _survivors(matrix, answer_vector(matrix, members)) + 1
-    defective = set(members)
-    return tuple(i for i in survivors.tolist() if i not in defective)
+    return check_property(matrix, items, "disjunct").non_disjunct_items
 
 
 def is_disjunct(matrix: TestMatrix, items: Iterable[int]) -> bool:
@@ -72,11 +68,7 @@ def separability_witness(
     """First candidate set J != I with |J| <= d and the same answers, or None."""
     d = _require_int(d, "d", 0)
     _require_desk_scale("separability check", matrix.n, d)
-    members = validate_items(items, matrix.n)
-    answers = answer_vector(matrix, members)
-    survivors = tuple((_survivors(matrix, answers) + 1).tolist())
-    hits = _consistent_sets(_cells(matrix, survivors), survivors, answers, range(d + 1))
-    return next((hit for hit in hits if hit != members), None)
+    return check_property(matrix, items, "separable", d).witness
 
 
 def is_separable(matrix: TestMatrix, items: Iterable[int], d: int) -> bool:
@@ -89,12 +81,14 @@ def check_property(
 ) -> PropertyReport:
     """Check ``property_name`` (one of ``PROPERTIES``) of ``matrix`` for ``items``.
 
-    ``d`` is needed for ``separable`` and ``semidisjunct``. The
-    separability scan is capped at ``MAX_DESK_ITEMS`` / ``MAX_DESK_DEFECTIVES``
-    (``BudgetExceededError``). For ``semidisjunct`` the unwitnessed-item
-    count u is checked first (it is cheap): the allowance holds when
-    u^d <= n, compared in integers, so exact powers are judged exactly. The
-    separability scan runs only when that passes.
+    ``d`` is needed for ``separable`` and ``semidisjunct``. Each reads one
+    residue, the survivors of the answers of ``items``: the unwitnessed
+    items are the survivors outside ``items``, and the separability scan,
+    capped at ``MAX_DESK_ITEMS`` / ``MAX_DESK_DEFECTIVES``
+    (``BudgetExceededError``), tries their sets of size 0..d. For
+    ``semidisjunct`` the scan runs only when the unwitnessed-item count u is
+    within its allowance, u^d <= n, compared in integers, so exact powers
+    are judged exactly. The single checks are views of this one.
     """
     _require_choice(property_name, "property", PROPERTIES)
     threshold = None
@@ -102,9 +96,15 @@ def check_property(
         d = _require_int(d, "d", 1)
         threshold = matrix.n ** (1.0 / d)
     members = validate_items(items, matrix.n)
-    unwitnessed = non_disjunct_items(matrix, members)
-    if property_name == "disjunct" or (threshold is not None and len(unwitnessed) ** d > matrix.n):
+    n, answers, survivors, cells_of = _residue(matrix, answer_vector(matrix, members))
+    unwitnessed = tuple(sorted(set(survivors).difference(members)))
+    # for u >= 2 and d >= b, the bit length of n, u^d >= u^b >= 2^b > n
+    over = threshold is not None and len(unwitnessed) ** min(d, int(n).bit_length()) > n
+    if property_name == "disjunct" or over:
         witness = unwitnessed or None
     else:
-        witness = separability_witness(matrix, members, d)
+        d = _require_int(d, "d", 0)
+        _require_desk_scale("separability check", n, d)
+        hits = _consistent_sets(cells_of(), survivors, answers, range(d + 1))
+        witness = next((hit for hit in hits if hit != members), None)
     return PropertyReport(property_name, witness is None, witness, unwitnessed, threshold)

@@ -81,6 +81,11 @@ def _commands() -> list[list[str]]:
                                  "--property", prop, "--d", d, "--format", fmt])
     commands.append(["verify", "--matrix", "wide.gtm1", "--items", "3 17",
                      "--property", "separable", "--d", "2"])
+    # over the desk cap, semi fails its allowance at d = 2 (10 unwitnessed
+    # items, 10^2 > 50) with no scan, and at d = 1 passes it and is refused
+    for d in ("2", "1"):
+        commands.append(["verify", "--matrix", "wide.gtm1", "--items", "3 17",
+                         "--property", "semi", "--d", d])
     decodes = [
         # disjunct: elimination only, always decoded
         ["--matrix", "dup.gtm1", "--answers", "a10.txt", "--decoder", "disjunct"],

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -205,6 +206,35 @@ def test_semidisjunct_budget_refusal():
     big = TestMatrix.from_dense(np.ones((1, 200), dtype=np.uint8))
     with pytest.raises(BudgetExceededError):
         decode_semidisjunct(big, [1], 8)
+
+
+def _all_survive(s):
+    """One test that pools all s items: on answer 1 every item survives."""
+    return TestMatrix(1, s, np.packbits(np.ones((1, s), np.uint8), axis=1))
+
+
+def test_the_finish_refuses_exactly_when_the_subset_count_is_over_its_budget():
+    # refused below C(s, d), run at and above it, where every set is
+    # consistent and the finish stops at the first
+    for s in range(2, 70):
+        matrix = _all_survive(s)
+        for d in range(1, s):
+            count = math.comb(s, d)
+            with pytest.raises(BudgetExceededError, match=rf"C\({s}, {d}\) subset tests"):
+                decode_semidisjunct(matrix, [1], d, count - 1)
+            for budget in (count, count + 1):
+                outcome = decode_semidisjunct(matrix, [1], d, budget)
+                assert outcome == DecodeOutcome(DECODED, tuple(range(1, d + 1)), 1, 0, s)
+
+
+def test_a_finish_far_over_its_budget_is_refused_without_its_binomial():
+    # C(10^6, 5 * 10^5) has about 10^6 bits; the refusal must not compute it
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as refusal:
+        decode_semidisjunct(_all_survive(10**6), [1], 5 * 10**5)
+    assert str(refusal.value) == (
+        "exhaustive finish needs C(1000000, 500000) subset tests, over the budget of 100000000")
+    assert time.perf_counter() - start < 5
 
 
 def test_the_finish_gathers_the_survivors_columns_only_for_its_scan(monkeypatch):
@@ -526,7 +556,8 @@ def test_bruteforce_is_the_decode_of_the_streamed_survivors_and_cells(n, tmp_pat
             return np.unpackbits(bits, axis=1, count=len(survivors))
 
         for d in range(5):
-            expected = _decode("bruteforce", n, ans, tuple((survivors + 1).tolist()), d, None, cells)
+            residue = n, ans, tuple((survivors + 1).tolist()), cells
+            expected = _decode("bruteforce", residue, d, None)
             assert decode_separable_bruteforce(matrix, answers, d) == expected, (trial, d)
 
 

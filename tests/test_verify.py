@@ -1,8 +1,13 @@
 import math
+import subprocess
+import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pooltest import decode, verify
 from pooltest.core import BudgetExceededError, InputError, TestMatrix, answer_vector
 from pooltest.decode import DECODED, MAX_DESK_ITEMS, decode_separable_bruteforce
 from pooltest.design import semidisjunct_test_count
@@ -160,3 +165,176 @@ def test_semidisjunct_allows_exactly_root_unwitnessed_items(n, d, root):
         at = check(root)
         assert at.non_disjunct_items == tuple(range(2, root + 2))
         assert at.witness == (1, 2) and not at.holds  # {1, 2} answers like {1}
+
+
+def _unwitnessed(n, u):
+    """n items, each alone in a test of its own but items 2..u+1, in none:
+    for I = {1} those u items are unwitnessed."""
+    dense = np.eye(n, dtype=np.uint8)
+    dense[:, 1 : 1 + u] = 0
+    return TestMatrix.from_dense(dense)
+
+
+def test_the_capped_allowance_compare_is_the_plain_power():
+    # for u >= 2 and d >= b, the bit length of n, u^d >= u^b >= 2^b > n
+    for n in [*range(1, 301), 2**40 - 1, 2**40, 2**40 + 1]:
+        b = n.bit_length()
+        for u in range(12):
+            for d in range(1, b + 6):
+                assert (u ** min(d, b) > n) == (u**d > n), (n, u, d)
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 40, 64, 65])
+def test_the_allowance_at_every_d_is_judged_by_the_plain_power(n):
+    for u in range(min(11, n - 1) + 1):
+        matrix = _unwitnessed(n, u)
+        for d in range(1, n.bit_length() + 6):
+            if u**d > n:
+                report = check_property(matrix, (1,), "semidisjunct", d)
+                assert report.witness == report.non_disjunct_items == tuple(range(2, u + 2))
+            elif n > MAX_DESK_ITEMS or d > 4:
+                with pytest.raises(BudgetExceededError, match="separability check is capped"):
+                    check_property(matrix, (1,), "semidisjunct", d)
+            else:
+                # {1} and an unwitnessed item answer like {1}
+                assert check_property(matrix, (1,), "semidisjunct", d).holds == (u == 0 or d == 1)
+
+
+def test_the_allowance_at_a_huge_d_is_the_allowance_at_the_bit_length():
+    # u^d at d = 10^9 would be a 1.6 * 10^9-bit integer: a child process,
+    # so that a full power fails the test by its timeout
+    probe = """
+import numpy as np
+from dataclasses import replace
+from pooltest.core import TestMatrix
+from pooltest.verify import check_property
+dense = np.eye(50, dtype=np.uint8)
+dense[:, 1:4] = 0
+matrix = TestMatrix.from_dense(dense)
+huge = check_property(matrix, (1,), "semidisjunct", 10**9)
+small = check_property(matrix, (1,), "semidisjunct", (50).bit_length() + 1)
+assert huge.threshold == 50 ** 1e-9 and huge.witness == (2, 3, 4)
+assert replace(huge, threshold=None) == replace(small, threshold=None)
+"""
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=30)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("name, d, u, scans", [
+    ("disjunct", None, 0, 0),
+    ("separable", 2, 0, 1),
+    ("semidisjunct", 2, 0, 1),
+    ("semidisjunct", 2, 2, 1),  # within the allowance: 2^2 <= 5
+    ("semidisjunct", 2, 3, 0),  # over it: 3^2 > 5
+])
+def test_check_property_reads_the_answers_and_survivors_once(name, d, u, scans, monkeypatch):
+    matrix = _unwitnessed(5, u)
+    calls = []
+
+    def counted(module, function_name):
+        function = getattr(module, function_name)
+        monkeypatch.setattr(module, function_name,
+                            lambda *a: calls.append(function_name) or function(*a))
+
+    counted(verify, "answer_vector")
+    counted(verify, "_consistent_sets")
+    counted(decode, "_survivors")
+    if hasattr(verify, "_survivors"):
+        counted(verify, "_survivors")
+    check_property(matrix, (1,), name, d)
+    assert sorted(calls) == ["_consistent_sets"] * scans + ["_survivors", "answer_vector"]
+
+
+def _literal_answers(dense, items):
+    return tuple(int(any(row[i - 1] for i in items)) for row in dense)
+
+
+def _literal_reports(dense, items, d):
+    """The three property reports of ``items`` at ``d`` from the dense cells:
+    every set of size 0..d is tried, in size then lexicographic order."""
+    n = len(dense[0])
+    unwitnessed = tuple(
+        j for j in range(1, n + 1) if j not in items
+        and not any(row[j - 1] and not any(row[i - 1] for i in items) for row in dense))
+    answers = _literal_answers(dense, items)
+    confusable = next((sets for size in range(d + 1)
+                       for sets in combinations(range(1, n + 1), size)
+                       if sets != items and _literal_answers(dense, sets) == answers), None)
+    reports = {
+        "disjunct": PropertyReport("disjunct", not unwitnessed, unwitnessed or None,
+                                   unwitnessed, None),
+        "separable": PropertyReport("separable", confusable is None, confusable, unwitnessed,
+                                    None),
+    }
+    if d >= 1:
+        semi = unwitnessed if len(unwitnessed) ** d > n else confusable
+        reports["semidisjunct"] = PropertyReport("semidisjunct", semi is None, semi,
+                                                 unwitnessed, n ** (1.0 / d))
+    return reports, unwitnessed, confusable
+
+
+@st.composite
+def property_instances(draw):
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 8))
+    dense = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                          min_size=m, max_size=m))
+    d = draw(st.integers(0, 3))
+    items = tuple(sorted(draw(st.sets(st.integers(1, n), max_size=min(n, d + 1)))))
+    return dense, items, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(property_instances())
+def test_every_property_check_is_the_literal_check_of_the_dense_cells(instance):
+    dense, items, d = instance
+    matrix = TestMatrix.from_dense(np.array(dense, np.uint8))
+    reports, unwitnessed, confusable = _literal_reports(dense, items, d)
+    for name, report in reports.items():
+        assert check_property(matrix, items, name, d) == report, name
+    assert non_disjunct_items(matrix, items) == unwitnessed
+    assert separability_witness(matrix, items, d) == confusable
+
+
+def _error(call):
+    try:
+        call()
+    except (InputError, BudgetExceededError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_separability_witness_reports_d_then_the_desk_cap_then_the_items():
+    wide = gen_rid(3, MAX_DESK_ITEMS + 1, 0.5, seed=1)
+    narrow = gen_rid(3, 10, 0.5, seed=1)
+    cap = ("BudgetExceededError", "separability check is capped at n <= 40, d <= 4; got n=41, d=1")
+    items = ("InputError", "item index must be >= 1, got 0")
+    assert _error(lambda: separability_witness(wide, (0,), -1)) == (
+        "InputError", "d must be >= 0, got -1")
+    assert _error(lambda: separability_witness(wide, (0,), 1)) == cap
+    assert _error(lambda: separability_witness(narrow, (0,), 5))[0] == "BudgetExceededError"
+    assert _error(lambda: separability_witness(narrow, (0,), 1)) == items
+
+
+def test_check_property_reports_the_property_then_a_semi_d_then_the_items_then_the_scan():
+    wide = gen_rid(3, MAX_DESK_ITEMS + 1, 0.5, seed=1)
+    bad_d = ("InputError", "d must be >= 1, got 0")
+    items = ("InputError", "item index must be >= 1, got 0")
+    assert _error(lambda: check_property(wide, (0,), "x", 0))[1].startswith(
+        "property must be one of")
+    assert _error(lambda: check_property(wide, (0,), "semidisjunct", 0)) == bad_d
+    assert _error(lambda: check_property(wide, (0,), "semidisjunct", None)) == (
+        "InputError", "d must be an integer, got None")
+    for name in ("disjunct", "separable"):
+        assert _error(lambda: check_property(wide, (0,), name, -1)) == items
+    # a separable d is checked after the items, and before the desk cap
+    assert _error(lambda: check_property(wide, (1,), "separable", -1)) == (
+        "InputError", "d must be >= 0, got -1")
+    assert _error(lambda: check_property(wide, (1,), "separable", None)) == (
+        "InputError", "d must be an integer, got None")
+    assert _error(lambda: check_property(wide, (1,), "separable", 1)) == (
+        "BudgetExceededError", "separability check is capped at n <= 40, d <= 4; got n=41, d=1")
+    # within its allowance, semi is refused by the desk cap on d as well
+    assert _error(lambda: check_property(_unwitnessed(10, 0), (1,), "semidisjunct", 5)) == (
+        "BudgetExceededError", "separability check is capped at n <= 40, d <= 4; got n=10, d=5")
