@@ -3,8 +3,8 @@
 Design random pool matrices (independent-cell or constant-weight rows),
 compute the closed-form test counts for the disjunct / separable /
 semidisjunct properties, decode defective sets in time linear in the
-matrix bit-size, verify properties exhaustively at desk scale, and measure
-end-to-end success rates with a seeded Monte Carlo harness.
+matrix bit-size, verify properties exhaustively within a subset budget,
+and measure end-to-end success rates with a seeded Monte Carlo harness.
 """
 
 from .core import (

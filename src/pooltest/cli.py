@@ -430,8 +430,8 @@ def main(argv=None) -> int:
         # a reader that stops early is no error; what stdout buffers goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (BudgetExceededError, InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, InputError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, BudgetExceededError) else 1
 
 

@@ -17,6 +17,8 @@ reads one. The exhaustive phases share one subset scan of the survivors
 alone, since a set with an item in a negative test never explains the
 answers. It packs their columns into 64-bit words and compares the ORs of
 whole blocks of their sets with the answers in single numpy operations.
+They share one refusal rule too, ``_scan_sizes``: a scan that would try
+more subsets of the survivors than its budget is refused before it starts.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from .core import (
 )
 
 __all__ = [
-    "MAX_DESK_ITEMS",
-    "MAX_DESK_DEFECTIVES",
     "DECODED",
     "AMBIGUOUS",
     "NO_CONSISTENT_SET",
@@ -55,22 +55,28 @@ DECODED = "decoded"
 AMBIGUOUS = "ambiguous"
 NO_CONSISTENT_SET = "no_consistent_set"
 
-# Desk scale: the exhaustive decoder and the separability check refuse larger
-# instances, whose 0..d subsets of every item are too many to try.
-MAX_DESK_ITEMS = 40
-MAX_DESK_DEFECTIVES = 4
+# Subsets of the survivors that brute force and the separability check may
+# try; every 0..4-subset of 40 survivors, 102,091 of them, fits.
+_SCAN_BUDGET = 1 << 17
 
 
-def _over_desk_scale(n: int, d: int) -> bool:
-    return n > MAX_DESK_ITEMS or d > MAX_DESK_DEFECTIVES
-
-
-def _require_desk_scale(check: str, n: int, d: int) -> None:
-    if _over_desk_scale(n, d):
-        raise BudgetExceededError(
-            f"{check} is capped at n <= {MAX_DESK_ITEMS}, d <= {MAX_DESK_DEFECTIVES}; "
-            f"got n={n}, d={d}"
-        )
+def _scan_sizes(scan: str, s: int, d: int, budget: int | None = None) -> range:
+    """The set sizes ``scan`` tries among s survivors: d for the exhaustive
+    finish, else 0..min(d, s). Raises ``BudgetExceededError`` when their
+    sets, C(s, d) or the sum of C(s, k), outnumber ``budget``, by default
+    ``_SCAN_BUDGET``. C(s, k) >= 2^min(k, s - k), so a term that large
+    refuses before its binomial, and the sum stops once it passes the
+    budget."""
+    budget = _SCAN_BUDGET if budget is None else budget
+    finish = scan == "exhaustive finish"
+    sizes = range(d, d + 1) if finish else range(min(d, s) + 1)
+    total = 0
+    for k in sizes:
+        total += budget + 1 if min(k, s - k) >= budget.bit_length() else math.comb(s, k)
+        if total > budget:
+            sets = f"C({s}, {d}) subset tests" if finish else f"C({s}, k) subset tests for k <= {d}"
+            raise BudgetExceededError(f"{scan} needs {sets}, over the budget of {budget}")
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -139,8 +145,8 @@ def decode_disjunct(matrix: TestMatrix, answers) -> DecodeOutcome:
     return _decode("disjunct", _residue(matrix, answers), None, None)
 
 
-# Rows of the largest tail table: one vector compare covers at most this
-# many candidate sets.
+# Columns of the largest tail table: one vector compare covers at most this
+# many sets of two or more picks (the sets of one pick, however many).
 _TAIL_ROWS = 1 << 14
 
 
@@ -178,8 +184,9 @@ def _consistent_sets(
     a set is consistent when its columns OR to the OR of all of them, which
     must cover every positive row. A set of size k is a prefix of k - r
     picks followed by a tail of r picks, r as large as keeps C(s, r) <=
-    ``_TAIL_ROWS``. The ORs of all tails are taken once per size; each
-    prefix is then one vector compare over the tails after its last pick.
+    ``_TAIL_ROWS``, and never below 1 for k >= 1. The ORs of all tails are
+    taken once per size; each prefix is then one vector compare over the
+    tails after its last pick, so the sets of size 1 take one compare.
     """
     cells = cells.compress(answers != 0, axis=0)
     if not cells.any(axis=1).all():
@@ -197,10 +204,11 @@ def _consistent_sets(
         if size > s:
             continue
         r = size
-        while math.comb(s, r) > _TAIL_ROWS:
+        while r > 1 and math.comb(s, r) > _TAIL_ROWS:
             r -= 1
         count = math.comb(s, r)
-        tails = _tail_table(r, _TAIL_ROWS)[:, -count:]
+        # a tail of one pick is every candidate, however many
+        tails = np.arange(s)[None, ::-1] if r == 1 else _tail_table(r, _TAIL_ROWS)[:, -count:]
         ors = np.zeros((words, count), np.uint64)
         for picks in tails:
             ors |= columns.take(picks, axis=1)
@@ -219,7 +227,8 @@ def _decode(decoder: str, residue: tuple, d, budget) -> DecodeOutcome:
     only once every refusal passed. ``disjunct`` returns the survivors; so
     does ``semidisjunct`` when at most d are left, else it scans their
     size-d sets, if their count is in its ``budget``; ``bruteforce`` counts
-    their consistent sets of size 0..d, at desk scale."""
+    their consistent sets of size 0..d, if their count is in
+    ``_SCAN_BUDGET``."""
     n, answers, candidates, cells_of = residue
     if decoder != "disjunct":
         d = _require_int(d, "d", 0 if decoder == "bruteforce" else 1)
@@ -229,13 +238,9 @@ def _decode(decoder: str, residue: tuple, d, budget) -> DecodeOutcome:
     if decoder == "disjunct" or decoder == "semidisjunct" and s <= d:
         return DecodeOutcome(DECODED, tuple(candidates), 1, n - s, 0)
     if decoder == "bruteforce":
-        _require_desk_scale("bruteforce decode", n, d)
-    # C(s, d) >= 2^k for k = min(d, s - d), so a large k refuses before the binomial
-    elif min(d, s - d) >= budget.bit_length() or math.comb(s, d) > budget:
-        raise BudgetExceededError(
-            f"exhaustive finish needs C({s}, {d}) subset tests, over the budget of {budget}"
-        )
-    sizes = range(d + 1) if decoder == "bruteforce" else (d,)
+        sizes = _scan_sizes("bruteforce decode", s, d)
+    else:
+        sizes = _scan_sizes("exhaustive finish", s, d, budget)
     hits = _consistent_sets(cells_of(), candidates, answers, sizes)
     first = next(hits, None)
     # brute force counts every consistent set; the finish stops at the first
@@ -282,7 +287,9 @@ def decode_separable_bruteforce(matrix: TestMatrix, answers, d: int) -> DecodeOu
 
     Returns the unique consistent candidate, ``ambiguous`` with the count
     of consistent candidates when several match, or ``no_consistent_set``.
-    Desk-scale only; refuses beyond ``MAX_DESK_ITEMS`` / ``MAX_DESK_DEFECTIVES``.
+    Raises ``BudgetExceededError`` when those sets, the sum of C(s, k) over
+    k <= d for s survivors, number more than ``_SCAN_BUDGET``, 2^17: at
+    any n, and at d <= 4 for up to 40 survivors.
     """
     d = _require_int(d, "d", 0)  # before the answers
     return _decode("bruteforce", _residue(matrix, answers), d, None)

@@ -23,7 +23,6 @@ from .core import (
 )
 from .decode import (
     DECODED,
-    _over_desk_scale,
     decode_disjunct,
     decode_semidisjunct,
     decode_separable_bruteforce,
@@ -134,22 +133,14 @@ def _defect_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial, 1]))
 
 
-def _trial_items(cfg: TrialConfig, trial: int) -> tuple[int, ...]:
-    """The defective set of one trial, drawn apart from its matrix."""
+def trial_instance(cfg: TrialConfig, trial: int) -> tuple[TestMatrix, tuple[int, ...]]:
+    """The (matrix, defective set) pair of one trial; pure in (cfg, trial).
+    The defective set is drawn apart from the matrix."""
     _require_int(trial, "trial", 0)
     design = cfg.design
     rng = _defect_rng(cfg.master_seed, trial)
-    if cfg.defect_mode == "exactly_d":
-        size = design.d
-    else:
-        size = int(rng.integers(0, design.d + 1))
-    return tuple(sorted(int(i) + 1 for i in rng.choice(design.n, size=size, replace=False)))
-
-
-def trial_instance(cfg: TrialConfig, trial: int) -> tuple[TestMatrix, tuple[int, ...]]:
-    """The (matrix, defective set) pair of one trial; pure in (cfg, trial)."""
-    items = _trial_items(cfg, trial)
-    design = cfg.design
+    size = design.d if cfg.defect_mode == "exactly_d" else int(rng.integers(0, design.d + 1))
+    items = tuple(sorted(int(i) + 1 for i in rng.choice(design.n, size=size, replace=False)))
     seed = _matrix_seed(cfg.master_seed, trial)
     if design.model == "rid":
         matrix = gen_rid(design.m, design.n, design.zero_prob, seed)
@@ -158,23 +149,18 @@ def trial_instance(cfg: TrialConfig, trial: int) -> tuple[TestMatrix, tuple[int,
     return matrix, items
 
 
-def _run_trial(cfg: TrialConfig, trial: int, capped: bool, answered: bool, check) -> TrialResult:
-    """One trial around ``check``, the one step timed. A ``capped`` check
-    over the desk cap on (n, d) is refused before any draw. Otherwise the
-    instance is drawn, and answered when ``answered``; ``check(matrix, items,
-    answers)`` gives (success, residual, non_disjunct_count) or raises
+def _run_trial(cfg: TrialConfig, trial: int, answered: bool, check) -> TrialResult:
+    """One trial around ``check``, the one step timed. The instance is
+    drawn, and answered when ``answered``; ``check(matrix, items, answers)``
+    gives (success, residual, non_disjunct_count) or raises
     ``BudgetExceededError``, a refusal.
     """
     found = None
-    if capped and _over_desk_scale(cfg.design.n, cfg.design.d):
-        items = _trial_items(cfg, trial)
-        start = time.perf_counter()
-    else:
-        matrix, items = trial_instance(cfg, trial)
-        answers = answer_vector(matrix, items) if answered else None
-        start = time.perf_counter()
-        with suppress(BudgetExceededError):
-            found = check(matrix, items, answers)
+    matrix, items = trial_instance(cfg, trial)
+    answers = answer_vector(matrix, items) if answered else None
+    start = time.perf_counter()
+    with suppress(BudgetExceededError):
+        found = check(matrix, items, answers)
     seconds = time.perf_counter() - start
     success, residual, non_disjunct_count = found or (False, None, None)
     return TrialResult(items, success, found is None, residual, non_disjunct_count, seconds)
@@ -183,8 +169,8 @@ def _run_trial(cfg: TrialConfig, trial: int, capped: bool, answered: bool, check
 def run_single_trial(cfg: TrialConfig, trial: int) -> TrialResult:
     """Draw, answer, decode one trial. Success means exact set recovery.
 
-    The exhaustive decoder refuses a design over its desk cap on (n, d)
-    alone, so such a trial is refused before its matrix is drawn.
+    An exhaustive decoder refuses a trial whose survivors hold more
+    subsets than its budget, after the matrix is drawn.
     """
     def decode(matrix, items, answers):
         if cfg.decoder == "disjunct":
@@ -196,7 +182,7 @@ def run_single_trial(cfg: TrialConfig, trial: int) -> TrialResult:
         success = outcome.status == DECODED and outcome.items == items
         return success, matrix.n - outcome.eliminated_count, None
 
-    return _run_trial(cfg, trial, capped=cfg.decoder == "bruteforce", answered=True, check=decode)
+    return _run_trial(cfg, trial, answered=True, check=decode)
 
 
 def property_trial(cfg: TrialConfig, property_name: str, trial: int) -> TrialResult:
@@ -204,14 +190,14 @@ def property_trial(cfg: TrialConfig, property_name: str, trial: int) -> TrialRes
 
     Uses the identical instance derivation as ``run_single_trial``, so
     property rates for different properties are matched pair by pair. The
-    separability check, like the exhaustive decoder, refuses on (n, d)
-    before the matrix is drawn.
+    separability check, like the exhaustive decoder, refuses a trial whose
+    survivors hold more subsets than its budget.
     """
     def check(matrix, items, answers):
         report = check_property(matrix, items, property_name, cfg.design.d)
         return report.holds, None, len(report.non_disjunct_items)
 
-    return _run_trial(cfg, trial, capped=property_name == "separable", answered=False, check=check)
+    return _run_trial(cfg, trial, answered=False, check=check)
 
 
 def _aggregate(results: Iterable[TrialResult], trials: int) -> SimulationReport:

@@ -1,6 +1,6 @@
 """Ground-truth checkers for the three matrix properties.
 
-These are exhaustive and meant for desk-scale instances: they gate
+These are exhaustive over the survivors of the answers: they gate
 property-conditioned tests and estimate property probabilities
 empirically. They are not decoders.
 """
@@ -18,7 +18,7 @@ from .core import (
     _require_choice,
     _require_int,
 )
-from .decode import _consistent_sets, _require_desk_scale, _residue
+from .decode import _consistent_sets, _residue, _scan_sizes
 
 __all__ = [
     "PropertyReport",
@@ -67,7 +67,6 @@ def separability_witness(
 ) -> tuple[int, ...] | None:
     """First candidate set J != I with |J| <= d and the same answers, or None."""
     d = _require_int(d, "d", 0)
-    _require_desk_scale("separability check", matrix.n, d)
     return check_property(matrix, items, "separable", d).witness
 
 
@@ -83,12 +82,13 @@ def check_property(
 
     ``d`` is needed for ``separable`` and ``semidisjunct``. Each reads one
     residue, the survivors of the answers of ``items``: the unwitnessed
-    items are the survivors outside ``items``, and the separability scan,
-    capped at ``MAX_DESK_ITEMS`` / ``MAX_DESK_DEFECTIVES``
-    (``BudgetExceededError``), tries their sets of size 0..d. For
-    ``semidisjunct`` the scan runs only when the unwitnessed-item count u is
-    within its allowance, u^d <= n, compared in integers, so exact powers
-    are judged exactly. The single checks are views of this one.
+    items are the survivors outside ``items``, and the separability scan
+    tries their sets of size 0..d; like brute-force decode, it is refused
+    (``BudgetExceededError``) when those sets number more than
+    ``decode._SCAN_BUDGET``. For ``semidisjunct`` the scan runs only when
+    the unwitnessed-item count u is within its allowance, u^d <= n,
+    compared in integers, so exact powers are judged exactly. The single
+    checks are views of this one.
     """
     _require_choice(property_name, "property", PROPERTIES)
     threshold = None
@@ -104,7 +104,7 @@ def check_property(
         witness = unwitnessed or None
     else:
         d = _require_int(d, "d", 0)
-        _require_desk_scale("separability check", n, d)
-        hits = _consistent_sets(cells_of(), survivors, answers, range(d + 1))
+        sizes = _scan_sizes("separability check", len(survivors), d)
+        hits = _consistent_sets(cells_of(), survivors, answers, sizes)
         witness = next((hit for hit in hits if hit != members), None)
     return PropertyReport(property_name, witness is None, witness, unwitnessed, threshold)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -163,15 +164,17 @@ def test_decode_ambiguous_and_inconsistent_exit_one(tmp_path):
 
 
 def test_budget_exceeded_exit_code(tmp_path):
+    # all-positive answers leave all 60 items: 523,686 sets of size 0..4
     mfile = tmp_path / "m.gtm1"
     afile = tmp_path / "a.txt"
-    run_cli("generate", "--n", "41", "--m", "5", "--zero-prob", "0.5",
+    run_cli("generate", "--n", "60", "--m", "5", "--zero-prob", "0.5",
             "--seed", "2", "--out", str(mfile))
-    afile.write_text("0" * 5 + "\n")
+    afile.write_text("1" * 5 + "\n")
     res = run_cli("decode", "--matrix", str(mfile), "--answers", str(afile),
-                  "--decoder", "brute", "--d", "2")
+                  "--decoder", "brute", "--d", "4")
     assert res.returncode == 2
-    assert "capped" in res.stderr
+    assert res.stderr == ("error: bruteforce decode needs C(60, k) subset tests for k <= 4, "
+                          "over the budget of 131072\n")
 
 
 def _library_decode(matrix, answers, decoder, d, budget):
@@ -198,9 +201,9 @@ def _library_decode(matrix, answers, decoder, d, budget):
 def test_decode_of_a_file_is_the_library_decode_of_the_read_matrix(tag, block, m, n, tmp_path,
                                                                    monkeypatch, capsys):
     # undersized 7 x 60 matrices, so that many items survive: the finish
-    # decodes, finds no set or is over its budget, and brute force is over
-    # the desk cap; 5 x 36 matrices, at desk scale and with duplicate
-    # columns (36 > 2^5), so that brute force finds several sets; rows in
+    # decodes, finds no set or is over its budget, and brute force scans
+    # up to 60 survivors; 5 x 36 matrices, with duplicate columns
+    # (36 > 2^5), so that brute force finds several sets; rows in
     # pieces of 16 cells or in blocks of 2 or 3 rows, on 1 to 3 workers
     rng = np.random.default_rng(len(tag) + n)
     if tag == "RID":
@@ -232,8 +235,8 @@ def test_decode_of_a_file_is_the_library_decode_of_the_read_matrix(tag, block, m
                              str(budget)])
             assert (code, *capsys.readouterr()) == expected, (trial, decoder, d, budget)
             seen.add(expected[0] if code != 1 else expected[2].split(":")[1])
-    assert seen == {0, " no candidate set is consistent with the answers\n", 2} | (
-        {" ambiguous answers"} if n <= 40 else set())
+    assert seen == {0, " no candidate set is consistent with the answers\n", 2,
+                    " ambiguous answers"}
 
 
 def _counted_passes(monkeypatch) -> list:
@@ -263,24 +266,27 @@ def test_decode_refuses_an_over_budget_finish_before_its_second_pass(tmp_path, m
 
 
 @pytest.mark.parametrize("decoder", ["brute", "bruteforce"])
-def test_decode_brute_force_streams_and_refuses_over_the_desk_cap_after_one_pass(
+def test_decode_brute_force_streams_and_refuses_over_its_budget_after_one_pass(
         decoder, tmp_path, monkeypatch, capsys):
     # brute force never reads the matrix whole: one pass finds the
-    # survivors, and a second, at desk scale, reads their columns
+    # survivors, and a second, within the scan budget, reads their columns;
+    # all-positive answers leave all 60 items, whose sets of size 0..4 are
+    # over the budget, and of size 0..3 within it
     passes = _counted_passes(monkeypatch)
-    for n, count in [(36, 2), (40, 2), (41, 1)]:
+    for n, items, d, count in [(36, (3, 9), 2, 2), (41, (3, 9), 2, 2), (60, (3, 9), 4, 2),
+                               (60, None, 3, 2), (60, None, 4, 1)]:
         path, afile = tmp_path / f"m{n}.gtm1", tmp_path / "a.txt"
         matrix = gen_rid(7, n, 0.5, 4)
         core.write_gtm1(matrix, path)
-        answers = answer_vector(matrix, (3, 9))
+        answers = np.ones(7, np.uint8) if items is None else answer_vector(matrix, items)
         afile.write_text(format_answer_line(answers) + "\n")
         passes.clear()
         code = cli.main(["decode", "--matrix", str(path), "--answers", str(afile),
-                         "--decoder", decoder, "--d", "2"])
-        expected = _library_decode(matrix, answers, decoder, 2, 10**8)
+                         "--decoder", decoder, "--d", str(d)])
+        expected = _library_decode(matrix, answers, decoder, d, 10**8)
         assert (code, *capsys.readouterr()) == expected, n
         assert len(passes) == count and core._packer not in passes, n
-        assert (code == 2) == (n > 40) and ("capped" in expected[2]) == (n > 40), n
+        assert (code == 2) == (count == 1) and ("over the budget" in expected[2]) == (count == 1)
 
 
 def test_simulate_deterministic_stdout():
@@ -702,6 +708,34 @@ def test_a_reader_that_stops_early_is_no_error():
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait(timeout=60) == 1
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("prop", ["separable", "disjunct"])
+def test_a_matrix_past_memory_is_one_error_line(prop):
+    # a trial matrix of 10^12 columns takes terabytes: under a 4 GB address
+    # space the draw's allocation fails, and the child says so in one line
+    env = dict(os.environ)
+    env.pop("POOLTEST_SEED", None)
+    res = subprocess.run([sys.executable, "-m", "pooltest", "simulate", "--n", "1000000000000",
+                          "--d", "2", "--delta", "0.1", "--trials", "1", "--seed", "1",
+                          "--property", prop], capture_output=True, text=True, env=env,
+                         preexec_fn=_limit_address_space, timeout=60)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.startswith("error: Unable to allocate ") and res.stderr.count("\n") == 1
+    assert "Traceback" not in res.stderr
+
+
+def test_a_bare_memory_error_is_named(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.design_mod, "coefficient_table", exhausted)
+    assert cli.main(["table", "--d-max", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: MemoryError\n")
 
 
 def test_cli_import_loads_neither_numpy_random_nor_a_thread_pool():

@@ -51,7 +51,7 @@ SETUP = [
      "--out", "rid.gtm1"],
     ["generate", "--model", "rrsd", "--n", "30", "--m", "20", "--row-weight", "10",
      "--seed", "12", "--out", "rrsd.gtm1"],
-    # 50 items: over the desk cap of the exhaustive checks
+    # 50 items, 10 tests: many survivors, within the exhaustive checks' budget
     ["generate", "--n", "50", "--m", "10", "--zero-prob", "0.5", "--seed", "13",
      "--out", "wide.gtm1"],
 ]
@@ -81,8 +81,8 @@ def _commands() -> list[list[str]]:
                                  "--property", prop, "--d", d, "--format", fmt])
     commands.append(["verify", "--matrix", "wide.gtm1", "--items", "3 17",
                      "--property", "separable", "--d", "2"])
-    # over the desk cap, semi fails its allowance at d = 2 (10 unwitnessed
-    # items, 10^2 > 50) with no scan, and at d = 1 passes it and is refused
+    # semi fails its allowance at d = 2 (10 unwitnessed items, 10^2 > 50)
+    # with no scan, and at d = 1 passes it and scans the 12 survivors
     for d in ("2", "1"):
         commands.append(["verify", "--matrix", "wide.gtm1", "--items", "3 17",
                          "--property", "semi", "--d", d])
@@ -97,7 +97,8 @@ def _commands() -> list[list[str]]:
         ["--matrix", "dup.gtm1", "--answers", "a10.txt", "--decoder", "semi", "--d", "1",
          "--max-subset-tests", "1"],
         ["--matrix", "dup.gtm1", "--answers", "a10.txt", "--decoder", "semi"],
-        # brute: decoded, ambiguous, no consistent set, budget, missing --d
+        # brute: decoded, ambiguous, no consistent set, d = 5 over 2 survivors,
+        # missing --d
         ["--matrix", "dup.gtm1", "--answers", "a01.txt", "--decoder", "brute", "--d", "1"],
         ["--matrix", "six.gtm1", "--answers", "a11000.txt", "--decoder", "brute", "--d", "3"],
         ["--matrix", "dup.gtm1", "--answers", "a10.txt", "--decoder", "brute", "--d", "1"],
@@ -129,7 +130,7 @@ def _commands() -> list[list[str]]:
         ["--n", "300", "--d", "3", "--property", "semi", "--decoder", "disjunct"],
         ["--n", "300", "--d", "3", "--property", "semi", "--defect-mode", "atmost"],
         ["--n", "300", "--d", "3", "--property", "semi", "--model", "rrsd"],
-        # every trial's matrix is over the brute-force cap: all refusals
+        # 50 items: brute force scans the few survivors of every trial
         ["--n", "50", "--d", "2", "--property", "separable", "--decoder", "bruteforce"],
     ]
     for args in simulations:

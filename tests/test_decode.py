@@ -26,7 +26,7 @@ from pooltest.decode import (
     DecodeOutcome,
     _consistent_sets,
     _decode,
-    _require_desk_scale,
+    _scan_sizes,
     decode_disjunct,
     decode_semidisjunct,
     decode_separable_bruteforce,
@@ -278,12 +278,95 @@ def test_a_bad_d_is_reported_before_bad_answers():
 
 
 def test_bruteforce_budget_refusal():
-    matrix = gen_rid(5, 41, 0.5, seed=1)
-    with pytest.raises(BudgetExceededError):
-        decode_separable_bruteforce(matrix, np.zeros(5, dtype=np.uint8), 2)
-    small = gen_rid(5, 10, 0.5, seed=1)
-    with pytest.raises(BudgetExceededError):
-        decode_separable_bruteforce(small, np.zeros(5, dtype=np.uint8), 5)
+    # all 60 items survive: C(60, k) for k <= 4 is 523,686 sets, over the
+    # budget; at d = 3 they are 36,051, and at n = 10 every d is within it
+    matrix = _all_survive(60)
+    with pytest.raises(BudgetExceededError, match=(
+            r"^bruteforce decode needs C\(60, k\) subset tests for k <= 4, "
+            r"over the budget of 131072$")):
+        decode_separable_bruteforce(matrix, [1], 4)
+    assert decode_separable_bruteforce(matrix, [1], 3).consistent_count == 36050
+    assert decode_separable_bruteforce(_all_survive(10), [1], 5).consistent_count == 637
+
+
+def _scan_count(scan, s, d):
+    """The sets ``scan`` tries among s survivors, summed literally."""
+    if scan == "exhaustive finish":
+        return math.comb(s, d)
+    return sum(math.comb(s, k) for k in range(d + 1))
+
+
+@pytest.mark.parametrize("scan", ["exhaustive finish", "bruteforce decode", "separability check"])
+def test_every_scan_is_refused_exactly_when_its_sets_are_over_its_budget(scan):
+    for s in range(70):
+        for d in range(8):
+            count = _scan_count(scan, s, d)
+            sets = f"C({s}, {d}) subset tests" if scan == "exhaustive finish" else (
+                f"C({s}, k) subset tests for k <= {d}")
+            for budget in (count - 1, count, count + 1):
+                if budget < count:
+                    with pytest.raises(BudgetExceededError) as refusal:
+                        _scan_sizes(scan, s, d, budget)
+                    assert str(refusal.value) == (
+                        f"{scan} needs {sets}, over the budget of {budget}")
+                elif budget >= 0:
+                    sizes = _scan_sizes(scan, s, d, budget)
+                    assert list(sizes) == (
+                        [d] if scan == "exhaustive finish" else list(range(min(d, s) + 1)))
+            assert _scan_sizes(scan, s, d, count) == _scan_sizes(scan, s, d, count + 1)
+
+
+def test_the_default_budget_holds_every_scan_of_forty_survivors_up_to_size_four():
+    assert decode._SCAN_BUDGET >= _scan_count("bruteforce decode", 40, 4) == 102_091
+    for scan in ("bruteforce decode", "separability check"):
+        assert _scan_sizes(scan, 40, 4) == range(5)
+
+
+@pytest.mark.parametrize("budget_of", [lambda count: count - 1, lambda count: count],
+                         ids=["under", "at"])
+def test_bruteforce_and_separability_refuse_on_the_scan_budget(budget_of, monkeypatch):
+    # every set of 1..d of s survivors explains all-positive answers
+    for s in range(1, 12):
+        matrix = _all_survive(s)
+        for d in range(5):
+            count = _scan_count("bruteforce decode", s, d)
+            monkeypatch.setattr(decode, "_SCAN_BUDGET", budget_of(count))
+            refused = budget_of(count) < count
+            for call, scan in (
+                (lambda: decode_separable_bruteforce(matrix, [1], d), "bruteforce decode"),
+                (lambda: check_property(matrix, (1,), "separable", d), "separability check"),
+            ):
+                if refused:
+                    with pytest.raises(BudgetExceededError, match=f"^{scan} needs C\\({s}, k\\)"):
+                        call()
+                else:
+                    call()
+            if not refused:
+                outcome = decode_separable_bruteforce(matrix, [1], d)
+                assert outcome.consistent_count == count - 1 and outcome.exhaustive_candidates == s
+
+
+def test_a_scan_far_over_its_budget_is_refused_at_once():
+    # d = 10^9 over 2.1 * 10^6 survivors: the sum stops at its second term,
+    # and C(s, 10^9) needs no binomial; over 10 survivors it stops at size
+    # 10; then through the public calls
+    s, d = 2_100_000, 10**9
+    start = time.perf_counter()
+    for scan in ("bruteforce decode", "separability check"):
+        with pytest.raises(BudgetExceededError, match=rf"C\({s}, k\) subset tests for k <= {d},"):
+            _scan_sizes(scan, s, d)
+    assert _scan_sizes("exhaustive finish", s, d, 10**8) == range(d, d + 1)  # C(s, d) = 0
+    assert _scan_sizes("bruteforce decode", 10, d) == range(11)  # no size past s is counted
+    with pytest.raises(BudgetExceededError, match=rf"^exhaustive finish needs C\({s}, {s // 2}\)"):
+        _scan_sizes("exhaustive finish", s, s // 2, 10**8)
+    assert time.perf_counter() - start < 1
+    matrix = _all_survive(s)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=rf"^bruteforce decode needs C\({s}, k\)"):
+        decode_separable_bruteforce(matrix, [1], d)
+    with pytest.raises(BudgetExceededError, match=rf"^separability check needs C\({s}, k\)"):
+        check_property(matrix, (1,), "separable", d)
+    assert time.perf_counter() - start < 5
 
 
 def test_exhaustive_work_is_bounded_on_property_instances():
@@ -402,6 +485,35 @@ def test_consistent_sets_over_fifty_candidates_of_size_four():
     assert list(_consistent_sets(_cells(matrix, survivors), survivors, answers, [4])) == expected
 
 
+def _size_one_instance(s):
+    """12 x s cells whose answers are all positive, and 5 of the s columns
+    that cover them all, so 5 sets of size 1 are consistent."""
+    rng = np.random.default_rng(s)
+    dense = (rng.random((12, s)) < 0.3).astype(np.uint8)
+    dense[:, rng.choice(s, 5, replace=False)] = 1
+    return dense, tuple(range(1, s + 1)), np.ones(12, np.uint8)
+
+
+@pytest.mark.parametrize("s", [2**14 - 1, 2**14, 2**14 + 1, 40_000])
+def test_sets_of_size_one_are_the_literal_filter_at_any_survivor_count(s):
+    # past C(s, 1) = _TAIL_ROWS the tail of one pick still holds every candidate
+    dense, candidates, answers = _size_one_instance(s)
+    expected = literal_filter(dense, candidates, answers, [0, 1])
+    assert len(expected) == 5
+    assert list(_consistent_sets(dense, candidates, answers, [0, 1])) == expected
+
+
+def test_sets_of_size_one_take_one_compare_over_any_survivor_count():
+    # a compare per survivor took 0.6 s over 100,000 survivors on a 2-vCPU VM
+    dense, candidates, answers = _size_one_instance(100_000)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        hits = list(_consistent_sets(dense, candidates, answers, [1]))
+        best = min(best, time.perf_counter() - start)
+    assert len(hits) == 5 and best < 0.15
+
+
 # ---------------------------------------------------------------------------
 # Survivors read from the OR of the negative rows, against the full unpack
 # ---------------------------------------------------------------------------
@@ -434,7 +546,10 @@ def reference_decode(decoder, matrix, answers, d, budget):
     survivors = reference_eliminate(matrix, ans)
     eliminated = matrix.n - len(survivors)
     if decoder == "bruteforce":
-        _require_desk_scale("bruteforce decode", matrix.n, d)
+        s = len(survivors)
+        if sum(math.comb(s, k) for k in range(d + 1)) > decode._SCAN_BUDGET:
+            raise BudgetExceededError(f"bruteforce decode needs C({s}, k) subset tests for "
+                                      f"k <= {d}, over the budget of {decode._SCAN_BUDGET}")
         hits = _consistent_sets(_cells(matrix, survivors), survivors, ans, range(d + 1))
         first = next(hits, None)
         count = (first is not None) + sum(1 for _ in hits)
@@ -460,7 +575,7 @@ def _result(call):
 @st.composite
 def elimination_instances(draw):
     """(matrix, defective set, answers, d): m <= 70, n <= 130, often not a
-    multiple of 8. Sparse matrices and all-positive answers leave 50 or more
+    multiple of 8, and d <= 6. Sparse matrices and all-positive answers leave 50 or more
     survivors; all-negative answers leave only empty columns. The answers
     come as a list or as an array of one of four dtypes."""
     m = draw(st.integers(1, 70))
@@ -478,7 +593,7 @@ def elimination_instances(draw):
         answers = np.full(m, kind == "all positive", dtype=np.uint8)
     form = draw(st.sampled_from((np.uint8, bool, np.int64, np.float64, list)))
     answers = answers.tolist() if form is list else answers.astype(form)
-    return matrix, items, answers, draw(st.integers(1, 4))
+    return matrix, items, answers, draw(st.integers(1, 6))
 
 
 def _assert_matches_the_references(matrix, items, answers, d):
@@ -488,10 +603,9 @@ def _assert_matches_the_references(matrix, items, answers, d):
     for decoder, call in (
         ("disjunct", lambda: decode_disjunct(matrix, answers)),
         ("semidisjunct", lambda: decode_semidisjunct(matrix, answers, d, budget)),
-        ("bruteforce", lambda: decode_separable_bruteforce(matrix, answers, min(d, 3))),
+        ("bruteforce", lambda: decode_separable_bruteforce(matrix, answers, d)),
     ):
-        size = min(d, 3) if decoder == "bruteforce" else d
-        expected = _result(lambda: reference_decode(decoder, matrix, answers, size, budget))
+        expected = _result(lambda: reference_decode(decoder, matrix, answers, d, budget))
         assert _result(call) == expected, decoder
 
 
@@ -525,7 +639,7 @@ def test_every_decoder_counts_the_survivors_it_scans(instance):
     for call, scanned in (
         (lambda: decode_disjunct(matrix, answers), False),
         (lambda: decode_semidisjunct(matrix, answers, d, 2000), len(survivors) > d),
-        (lambda: decode_separable_bruteforce(matrix, answers, min(d, 3)), True),
+        (lambda: decode_separable_bruteforce(matrix, answers, d), True),
     ):
         try:
             outcome = call()

@@ -1,11 +1,10 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
-from pooltest import cli, simulate
+from pooltest import simulate
 from pooltest.core import BudgetExceededError, InputError
 from pooltest.design import disjunct_test_count, make_design
 from pooltest.simulate import (
@@ -85,27 +84,30 @@ def test_wilson_endpoints_are_exact_at_zero_and_all_successes():
         assert wilson_interval(trials, trials)[1] == 1.0
 
 
-def _no_matrix(*args, **kwargs):
-    raise AssertionError("a matrix was drawn for a trial the desk cap refuses")
+def _over_budget(trials: int, seed: int) -> TrialConfig:
+    """A brute-force config whose 2-row matrices at n = 60, d = 6 leave
+    most items as survivors: far more than 2^17 sets of size 0..6."""
+    spec = dataclasses.replace(make_design(60, 6, 0.2, "separable"), m=2)
+    return TrialConfig(design=spec, trials=trials, master_seed=seed, decoder="bruteforce")
 
 
-def test_desk_cap_refuses_before_any_matrix_is_drawn(monkeypatch, capsys):
-    monkeypatch.setattr(simulate, "gen_rid", _no_matrix)
-    argv = ["simulate", "--n", "50", "--d", "2", "--property", "separable",
-            "--decoder", "bruteforce", "--delta", "0.1", "--trials", "25", "--seed", "7",
-            "--format", "json"]
-    assert cli.main(argv) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert (report["refusals"], report["successes"], report["failures"]) == (25, 0, 0)
+def test_a_budget_refusal_comes_after_the_matrix_is_drawn(monkeypatch):
+    # the trial draws its matrix, then scans or refuses on its survivors
+    draws = []
+    gen_rid = simulate.gen_rid
+    monkeypatch.setattr(simulate, "gen_rid", lambda *a: draws.append(a) or gen_rid(*a))
+    cfg = _over_budget(6, 3)
+    assert run_trials(cfg).refusals == 6 and len(draws) == 6
+    assert estimate_property_rate(cfg, "separable").refusals == 6 and len(draws) == 12
+    # at n = 50, d = 2 its design's 32 x 50 matrices leave few survivors:
+    # every trial scans
     cfg = TrialConfig(design=make_design(50, 2, 0.1, "separable"), trials=6, master_seed=3)
-    assert estimate_property_rate(cfg, "separable").refusals == 6
+    assert estimate_property_rate(cfg, "separable").refusals == 0 and len(draws) == 18
 
 
 def test_refusals_never_abort_the_batch():
-    # bruteforce decoder over its size cap: every trial refuses
-    spec = make_design(50, 2, 0.2, "separable")
-    cfg = TrialConfig(design=spec, trials=8, master_seed=2, decoder="bruteforce")
-    report = run_trials(cfg)
+    # bruteforce decoder over its scan budget: every trial refuses
+    report = run_trials(_over_budget(8, 2))
     assert report.refusals == 8
     assert report.successes + report.failures + report.refusals == report.trials
     assert report.success_rate == 0.0

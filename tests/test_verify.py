@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import subprocess
 import sys
 from itertools import combinations
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pooltest import decode, verify
 from pooltest.core import BudgetExceededError, InputError, TestMatrix, answer_vector
-from pooltest.decode import DECODED, MAX_DESK_ITEMS, decode_separable_bruteforce
+from pooltest.decode import DECODED, decode_separable_bruteforce
 from pooltest.design import semidisjunct_test_count
 from pooltest.randgen import gen_rid
 from pooltest.verify import (
@@ -83,11 +85,20 @@ def test_separable_agrees_with_bruteforce_uniqueness():
         assert is_separable(matrix, items, d) == unique_hit
 
 
+def _all_survive(n):
+    """One test that pools all n items: for any nonempty I every item survives."""
+    return TestMatrix.from_dense(np.ones((1, n), np.uint8))
+
+
 def test_separable_budget_refusal():
-    with pytest.raises(BudgetExceededError):
-        is_separable(gen_rid(5, 50, 0.5, seed=0), (1,), 2)
-    with pytest.raises(BudgetExceededError):
-        is_separable(gen_rid(5, 10, 0.5, seed=0), (1,), 5)
+    # 60 survivors hold 523,686 sets of size 0..4, over the budget, and
+    # 36,051 of size 0..3, within it; a separable call at n = 50 scans
+    with pytest.raises(BudgetExceededError, match=(
+            r"^separability check needs C\(60, k\) subset tests for k <= 4, "
+            r"over the budget of 131072$")):
+        is_separable(_all_survive(60), (1,), 4)
+    assert separability_witness(_all_survive(60), (1,), 3) == (2,)
+    assert isinstance(is_separable(gen_rid(5, 50, 0.5, seed=0), (1,), 2), bool)
 
 
 def test_semidisjunct_identity_holds():
@@ -157,14 +168,10 @@ def test_semidisjunct_allows_exactly_root_unwitnessed_items(n, d, root):
     over = check(root + 1)
     assert not over.holds and over.threshold == n ** (1 / d)
     assert over.witness == over.non_disjunct_items == tuple(range(2, root + 3))
-    # at the allowance the separability scan runs, or refuses over the desk cap
-    if n > MAX_DESK_ITEMS:
-        with pytest.raises(BudgetExceededError, match="separability check is capped"):
-            check(root)
-    else:
-        at = check(root)
-        assert at.non_disjunct_items == tuple(range(2, root + 2))
-        assert at.witness == (1, 2) and not at.holds  # {1, 2} answers like {1}
+    # at the allowance the separability scan runs, over its root + 1 survivors
+    at = check(root)
+    assert at.non_disjunct_items == tuple(range(2, root + 2))
+    assert at.witness == (1, 2) and not at.holds  # {1, 2} answers like {1}
 
 
 def _unwitnessed(n, u):
@@ -192,9 +199,6 @@ def test_the_allowance_at_every_d_is_judged_by_the_plain_power(n):
             if u**d > n:
                 report = check_property(matrix, (1,), "semidisjunct", d)
                 assert report.witness == report.non_disjunct_items == tuple(range(2, u + 2))
-            elif n > MAX_DESK_ITEMS or d > 4:
-                with pytest.raises(BudgetExceededError, match="separability check is capped"):
-                    check_property(matrix, (1,), "semidisjunct", d)
             else:
                 # {1} and an unwitnessed item answer like {1}
                 assert check_property(matrix, (1,), "semidisjunct", d).holds == (u == 0 or d == 1)
@@ -251,38 +255,65 @@ def _literal_answers(dense, items):
 
 
 def _literal_reports(dense, items, d):
-    """The three property reports of ``items`` at ``d`` from the dense cells:
-    every set of size 0..d is tried, in size then lexicographic order."""
+    """The three property reports of ``items`` at ``d`` from the dense cells,
+    and the separability witness; a check whose scan is over the budget is
+    its refusal, (error name, message). Every set of size 0..d is tried, in
+    size then lexicographic order, but only of the items whose cells fit
+    the answers: an item with a 1 where the answers have a 0 gives any set
+    that holds it a 1 there."""
     n = len(dense[0])
     unwitnessed = tuple(
         j for j in range(1, n + 1) if j not in items
         and not any(row[j - 1] and not any(row[i - 1] for i in items) for row in dense))
     answers = _literal_answers(dense, items)
-    confusable = next((sets for size in range(d + 1)
-                       for sets in combinations(range(1, n + 1), size)
-                       if sets != items and _literal_answers(dense, sets) == answers), None)
-    reports = {
-        "disjunct": PropertyReport("disjunct", not unwitnessed, unwitnessed or None,
-                                   unwitnessed, None),
-        "separable": PropertyReport("separable", confusable is None, confusable, unwitnessed,
-                                    None),
-    }
+    fits = [j for j in range(1, n + 1)
+            if all(answer or not row[j - 1] for answer, row in zip(answers, dense))]
+    s, budget = len(fits), decode._SCAN_BUDGET
+    if sum(math.comb(s, k) for k in range(d + 1)) > budget:
+        confusable = ("BudgetExceededError", f"separability check needs C({s}, k) subset "
+                      f"tests for k <= {d}, over the budget of {budget}")
+    else:
+        # each column as the bits of an integer, one per row
+        column = {j: sum(row[j - 1] << r for r, row in enumerate(dense)) for j in fits}
+        target = sum(answer << r for r, answer in enumerate(answers))
+        confusable = next((sets for size in range(d + 1) for sets in combinations(fits, size)
+                           if sets != items
+                           and functools.reduce(operator.or_, map(column.get, sets), 0) == target),
+                          None)
+
+    def report(name, witness, threshold=None):
+        if witness and witness[0] == "BudgetExceededError":
+            return witness
+        return PropertyReport(name, witness is None, witness, unwitnessed, threshold)
+
+    reports = {"disjunct": report("disjunct", unwitnessed or None),
+               "separable": report("separable", confusable)}
     if d >= 1:
         semi = unwitnessed if len(unwitnessed) ** d > n else confusable
-        reports["semidisjunct"] = PropertyReport("semidisjunct", semi is None, semi,
-                                                 unwitnessed, n ** (1.0 / d))
+        reports["semidisjunct"] = report("semidisjunct", semi, n ** (1.0 / d))
     return reports, unwitnessed, confusable
 
 
 @st.composite
 def property_instances(draw):
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(1, 8))
-    dense = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
-                          min_size=m, max_size=m))
-    d = draw(st.integers(0, 3))
+    """(dense cells, items, d): n <= 60, m <= 12, d <= 6, |items| <= d + 1.
+    The cells are drawn at one of four densities, so the survivors range
+    from a few to all n, and many scans are over the budget."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from((0.05, 0.2, 0.5, 0.8)))
+    dense = (rng.random((m, n)) < density).astype(int).tolist()
+    d = draw(st.integers(0, 6))
     items = tuple(sorted(draw(st.sets(st.integers(1, n), max_size=min(n, d + 1)))))
     return dense, items, d
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BudgetExceededError as exc:
+        return type(exc).__name__, str(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -292,9 +323,9 @@ def test_every_property_check_is_the_literal_check_of_the_dense_cells(instance):
     matrix = TestMatrix.from_dense(np.array(dense, np.uint8))
     reports, unwitnessed, confusable = _literal_reports(dense, items, d)
     for name, report in reports.items():
-        assert check_property(matrix, items, name, d) == report, name
+        assert _outcome(lambda: check_property(matrix, items, name, d)) == report, name
     assert non_disjunct_items(matrix, items) == unwitnessed
-    assert separability_witness(matrix, items, d) == confusable
+    assert _outcome(lambda: separability_witness(matrix, items, d)) == confusable
 
 
 def _error(call):
@@ -305,20 +336,20 @@ def _error(call):
     return None
 
 
-def test_separability_witness_reports_d_then_the_desk_cap_then_the_items():
-    wide = gen_rid(3, MAX_DESK_ITEMS + 1, 0.5, seed=1)
-    narrow = gen_rid(3, 10, 0.5, seed=1)
-    cap = ("BudgetExceededError", "separability check is capped at n <= 40, d <= 4; got n=41, d=1")
+def test_separability_witness_reports_d_then_the_items_then_the_budget():
+    wide = _all_survive(60)
+    budget = ("BudgetExceededError", "separability check needs C(60, k) subset tests "
+              "for k <= 4, over the budget of 131072")
     items = ("InputError", "item index must be >= 1, got 0")
     assert _error(lambda: separability_witness(wide, (0,), -1)) == (
         "InputError", "d must be >= 0, got -1")
-    assert _error(lambda: separability_witness(wide, (0,), 1)) == cap
-    assert _error(lambda: separability_witness(narrow, (0,), 5))[0] == "BudgetExceededError"
-    assert _error(lambda: separability_witness(narrow, (0,), 1)) == items
+    assert _error(lambda: separability_witness(wide, (0,), 4)) == items
+    assert _error(lambda: separability_witness(wide, (1,), 4)) == budget
+    assert _error(lambda: separability_witness(wide, (1,), 3)) is None
 
 
 def test_check_property_reports_the_property_then_a_semi_d_then_the_items_then_the_scan():
-    wide = gen_rid(3, MAX_DESK_ITEMS + 1, 0.5, seed=1)
+    wide = _all_survive(60)
     bad_d = ("InputError", "d must be >= 1, got 0")
     items = ("InputError", "item index must be >= 1, got 0")
     assert _error(lambda: check_property(wide, (0,), "x", 0))[1].startswith(
@@ -328,13 +359,17 @@ def test_check_property_reports_the_property_then_a_semi_d_then_the_items_then_t
         "InputError", "d must be an integer, got None")
     for name in ("disjunct", "separable"):
         assert _error(lambda: check_property(wide, (0,), name, -1)) == items
-    # a separable d is checked after the items, and before the desk cap
+    # a separable d is checked after the items, and before the scan's budget
     assert _error(lambda: check_property(wide, (1,), "separable", -1)) == (
         "InputError", "d must be >= 0, got -1")
     assert _error(lambda: check_property(wide, (1,), "separable", None)) == (
         "InputError", "d must be an integer, got None")
-    assert _error(lambda: check_property(wide, (1,), "separable", 1)) == (
-        "BudgetExceededError", "separability check is capped at n <= 40, d <= 4; got n=41, d=1")
-    # within its allowance, semi is refused by the desk cap on d as well
-    assert _error(lambda: check_property(_unwitnessed(10, 0), (1,), "semidisjunct", 5)) == (
-        "BudgetExceededError", "separability check is capped at n <= 40, d <= 4; got n=10, d=5")
+    assert _error(lambda: check_property(wide, (1,), "separable", 4)) == (
+        "BudgetExceededError",
+        "separability check needs C(60, k) subset tests for k <= 4, over the budget of 131072")
+    # within its allowance (no item unwitnessed), semi is refused by the budget
+    # as well: all 20 items of I survive, and hold 263,950 sets of size 0..8
+    everyone = tuple(range(1, 21))
+    assert _error(lambda: check_property(TestMatrix.identity(20), everyone, "semidisjunct", 8)) == (
+        "BudgetExceededError",
+        "separability check needs C(20, k) subset tests for k <= 8, over the budget of 131072")
